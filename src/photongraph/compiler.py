@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DomainError, GraphParseError
-from .graph import Edge, ExperimentGraph
+from .graph import Edge, ExperimentGraph, _expect, _float_value, _mode_value
 
 __all__ = [
     "Crystal",
@@ -173,42 +173,46 @@ def serialize_plan(plan: SetupPlan) -> str:
 
 
 def parse_plan(text: str) -> SetupPlan:
+    """Parse a plan document; errors carry the location of the bad field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}", location="<plan>") from None
-    if not isinstance(doc, dict) or not {"detectors", "layers", "wiring"} <= set(doc):
-        raise GraphParseError(
-            "plan must be an object with detectors, layers and wiring",
-            location="<plan>",
-        )
+    _expect(
+        isinstance(doc, dict) and {"detectors", "layers", "wiring"} <= set(doc),
+        "plan must be an object with detectors, layers and wiring",
+        "<plan>",
+    )
     detectors = doc["detectors"]
-    if not isinstance(detectors, list) or any(not isinstance(d, str) for d in detectors):
-        raise GraphParseError("detectors must be a list of names", location="detectors")
+    _expect(isinstance(detectors, list) and all(isinstance(d, str) for d in detectors),
+            "detectors must be a list of names", "detectors")
+    _expect(isinstance(doc["layers"], list), "layers must be a list of layers", "layers")
     layers = []
     for i, raw_layer in enumerate(doc["layers"]):
-        if not isinstance(raw_layer, list):
-            raise GraphParseError("layer must be a list of crystals", location=f"layers[{i}]")
+        _expect(isinstance(raw_layer, list), "layer must be a list of crystals", f"layers[{i}]")
         layer = []
         for j, rec in enumerate(raw_layer):
             loc = f"layers[{i}][{j}]"
-            if not isinstance(rec, dict) or not {"id", "u", "v"} <= set(rec):
-                raise GraphParseError("crystal must carry id, u and v", location=loc)
+            _expect(isinstance(rec, dict) and {"id", "u", "v"} <= set(rec), "crystal must carry id, u and v", loc)
+            for key in ("id", "u", "v"):
+                _expect(isinstance(rec[key], str), f"{key} must be a string", f"{loc}.{key}")
             layer.append(
                 Crystal(
                     rec["id"],
                     rec["u"],
                     rec["v"],
-                    rec.get("mode_u", 0),
-                    rec.get("mode_v", 0),
-                    float(rec.get("amp_mag", 1.0)),
-                    float(rec.get("amp_phase_rad", 0.0)),
+                    _mode_value(rec.get("mode_u", 0), f"{loc}.mode_u"),
+                    _mode_value(rec.get("mode_v", 0), f"{loc}.mode_v"),
+                    _float_value(rec.get("amp_mag", 1.0), f"{loc}.amp_mag"),
+                    _float_value(rec.get("amp_phase_rad", 0.0), f"{loc}.amp_phase_rad"),
                 )
             )
         layers.append(tuple(layer))
     wiring = doc["wiring"]
-    if not isinstance(wiring, dict):
-        raise GraphParseError("wiring must map paths to crystal lists", location="wiring")
+    _expect(isinstance(wiring, dict), "wiring must map paths to crystal lists", "wiring")
+    for path, ids in wiring.items():
+        _expect(isinstance(ids, list) and all(isinstance(x, str) for x in ids),
+                "wiring entry must be a list of crystal ids", f"wiring.{path}")
     return SetupPlan(
         tuple(detectors),
         tuple(layers),

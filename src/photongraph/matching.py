@@ -136,14 +136,17 @@ def _iter_covers(g: ExperimentGraph) -> Iterator[tuple[int, ...]]:
     yield from rec()
 
 
-def iter_cover_edges(
-    g: ExperimentGraph, *, override_limits: bool = False
-) -> Iterator[tuple[Edge, ...]]:
-    """Yield covers as tuples of Edge objects, id-sorted within a cover."""
-    _check_scale(g, override_limits)
-    edges = _sorted_edges(g)
-    for cover in _iter_covers(g):
-        yield tuple(edges[k] for k in cover)
+def pairings(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All perfect pairings of ``items``, each pair in item order; the first
+    item's partner varies slowest."""
+    if not items:
+        yield ()
+        return
+    first = items[0]
+    for idx in range(1, len(items)):
+        rest = items[1:idx] + items[idx + 1:]
+        for tail in pairings(rest):
+            yield ((first, items[idx]),) + tail
 
 
 def enumerate_pm(g: ExperimentGraph, *, override_limits: bool = False) -> list[Matching]:
@@ -242,20 +245,9 @@ def scan_ghz_dimension(
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pair_pos = {pq: k for k, pq in enumerate(pairs)}
 
-    # All perfect pairings of the n vertices, as bitmasks over pair slots.
-    def pairings(avail: tuple[int, ...]):
-        if not avail:
-            yield 0
-            return
-        first = avail[0]
-        for idx in range(1, len(avail)):
-            partner = avail[idx]
-            rest = avail[1:idx] + avail[idx + 1:]
-            bit = 1 << pair_pos[(first, partner)]
-            for mask in pairings(rest):
-                yield bit | mask
-
-    pm_masks = list(pairings(tuple(range(n))))
+    pm_masks = [
+        sum(1 << pair_pos[pq] for pq in pairing) for pairing in pairings(tuple(range(n)))
+    ]
     best_d = 0
     best_mask = None
     for sub in range(1 << len(pairs)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .counting import hafnian
 from .errors import DomainError
 from .graph import ExperimentGraph, random_graph
-from .states import QuantumState, iter_cover_terms
+from .states import QuantumState, _cover_amplitude_sum, state_from_graph
 
 __all__ = [
     "EnsembleReport",
@@ -98,35 +98,30 @@ def ensemble_scan(
     return reports
 
 
-def network_state(g: ExperimentGraph, p: float, *, override_limits: bool = False) -> QuantumState:
-    """Unnormalized first-order coincidence terms: every cover amplitude is
-    scaled by p^(pairs), one factor per firing crystal."""
+def _check_network(g: ExperimentGraph, p: float):
     if not 0.0 < p <= 1.0:
         raise DomainError(f"pair probability must lie in (0, 1], got {p}")
     if g.measured:
         raise DomainError("network amplitudes are defined for unmeasured graphs")
     if len(g.vertices) % 2 != 0:
         raise DomainError("odd path count: no full coincidence is possible")
+
+
+def network_state(g: ExperimentGraph, p: float, *, override_limits: bool = False) -> QuantumState:
+    """Unnormalized first-order coincidence terms: every cover amplitude is
+    scaled by p^(pairs), one factor per firing crystal.  Kets are pruned at
+    p = 1, before scaling, so a small p drops no ket."""
+    _check_network(g, p)
     weight = p ** (len(g.vertices) // 2)
-    terms: dict[tuple[int, ...], complex] = {}
-    for ket, amp in iter_cover_terms(g, override_limits=override_limits):
-        terms[ket] = terms.get(ket, 0j) + amp * weight
-    return QuantumState(terms).pruned()
+    state = state_from_graph(g, override_limits=override_limits)
+    return QuantumState({k: a * weight for k, a in state.terms.items()})
 
 
 def network_amplitude(g: ExperimentGraph, p: float, *, override_limits: bool = False) -> complex:
     """Lowest-order 2n-fold coincidence amplitude:
     p^n * sum over perfect matchings of the edge-amplitude products."""
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"pair probability must lie in (0, 1], got {p}")
-    if g.measured:
-        raise DomainError("network amplitudes are defined for unmeasured graphs")
-    if len(g.vertices) % 2 != 0:
-        raise DomainError("odd path count: no full coincidence is possible")
-    total = 0j
-    for _, amp in iter_cover_terms(g, override_limits=override_limits):
-        total += amp
-    return total * p ** (len(g.vertices) // 2)
+    _check_network(g, p)
+    return _cover_amplitude_sum(g, override_limits=override_limits) * p ** (len(g.vertices) // 2)
 
 
 def report_csv_rows(reports: list[EnsembleReport]) -> list[tuple]:

@@ -7,9 +7,16 @@ the same mode from both of its cover edges (projection onto the sum of
 is dropped from the ket.  Kets list the non-measured vertices in declaration
 order.
 
+One kernel computes these sums: a memoized dynamic program over the
+vertices still to be covered that returns, per ket, the summed amplitude of
+all covers, without enumerating them (``_cover_sums``).  States,
+verification, frustration scans and the network terms are built on it;
+explicit matchings are listed by :mod:`photongraph.matching`.
+
 Amplitudes below ``AMP_TOL`` are pruned; state comparisons fix the global
 phase by rotating the first nonzero amplitude (in ket order) onto the
-positive real axis.
+positive real axis.  The scale guard is the enumeration guard of
+:mod:`photongraph.matching`.
 """
 
 from __future__ import annotations
@@ -17,20 +24,18 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
 
 from .errors import DomainError, FullyFrustratedError, GraphParseError
 from .graph import Edge, ExperimentGraph, vertex_names
-from .matching import iter_cover_edges
+from .matching import _check_scale, pairings
 
 __all__ = [
     "AMP_TOL",
     "Ket",
     "QuantumState",
     "state_from_graph",
-    "iter_cover_terms",
     "is_ghz_like",
     "states_equal",
     "verify_target",
@@ -84,28 +89,120 @@ def states_equal(s1: QuantumState, s2: QuantumState, tol: float = AMP_TOL) -> bo
     return all(abs(a.terms[k] - b.terms[k]) <= tol for k in a.terms)
 
 
-def iter_cover_terms(
-    g: ExperimentGraph, *, override_limits: bool = False
-) -> Iterator[tuple[Ket, complex]]:
-    """Yield (ket, amplitude) per coincidence cover, applying the equal-mode
-    projection at measured vertices.  Terms are not aggregated."""
-    ket_vertices = g.ket_vertices
-    for cover in iter_cover_edges(g, override_limits=override_limits):
-        modes: dict[str, int] = {}
-        consistent = True
-        amp = complex(1.0)
-        for e in cover:
-            amp *= e.amplitude
-            for vertex, mode in ((e.u, e.mode_u), (e.v, e.mode_v)):
-                if vertex in modes and modes[vertex] != mode:
-                    consistent = False
-                    break
-                modes[vertex] = mode
-            if not consistent:
-                break
-        if not consistent:
-            continue
-        yield tuple(modes[v] for v in ket_vertices), amp
+def _radix(edges) -> int:
+    """Base of the mixed-radix ket codes: one more than the largest mode."""
+    return 1 + max((max(e.mode_u, e.mode_v) for e in edges), default=0)
+
+
+def _decode(codes: list[int], radix: int, length: int) -> list[Ket]:
+    """Kets of the given codes, slot by slot from the last."""
+    columns = []
+    for _ in range(length):
+        columns.append([code % radix for code in codes])
+        codes = [code // radix for code in codes]
+    return list(zip(*reversed(columns))) if columns else [()] * len(codes)
+
+
+def _cover_sums(
+    g: ExperimentGraph, radix: int, forced: Edge | None = None
+) -> dict[int, complex]:
+    """Summed cover amplitude per ket, by a memoized DP over what is left to
+    cover.  No cover is enumerated.
+
+    A ket is coded as the integer sum of mode * radix**(k - 1 - slot) over
+    its k slots, so joining two partial kets is an addition and integer order
+    is ket order.  The DP state is the set of vertices with need left (one
+    incidence per plain vertex, two per measured one), the measured vertices
+    that are half covered, and the first mode each of those received.  Each
+    step covers the lowest vertex with need completely: one edge for need 1;
+    an unordered pair of edges with equal modes there for a measured vertex
+    with need 2, so every cover is counted once.  Edges to lower vertices are
+    never candidates, since those are covered already.
+
+    With ``forced`` (an edge not in ``g``), only covers of ``g`` plus that
+    edge which contain it are summed, without its amplitude."""
+    n = len(g.vertices)
+    measured = [v in g.measured for v in g.vertices]
+    weight = [0] * n
+    slot = sum(not m for m in measured)
+    for i in range(n):
+        if not measured[i]:
+            slot -= 1
+            weight[i] = radix**slot
+    # Pending first modes of half-covered measured vertices, packed into an
+    # integer with one field per vertex.
+    width = radix.bit_length()
+    field = (1 << width) - 1
+    shift = [width * i for i in range(n)]
+
+    # Per lower endpoint (graphs store each edge with its lower endpoint as
+    # u): (higher endpoint, own mode, its mode, ket code, amplitude).
+    incident: list[list[tuple]] = [[] for _ in range(n)]
+    for e in g.edges:
+        i, j = g.index(e.u), g.index(e.v)
+        incident[i].append((j, e.mode_u, e.mode_v, e.mode_u * weight[i] + e.mode_v * weight[j], e.amplitude))
+
+    def place(w: int, mode: int, rem: int, half: int, pend: int):
+        """Give vertex ``w`` one incidence carrying ``mode``; None if it
+        needs none or, measured, already holds a different mode."""
+        bit = 1 << w
+        if not rem & bit:
+            return None
+        if not measured[w]:
+            return rem ^ bit, half, pend
+        if not half & bit:
+            return rem, half | bit, pend | mode << shift[w]
+        if pend >> shift[w] & field != mode:
+            return None
+        return rem ^ bit, half ^ bit, pend & ~(field << shift[w])
+
+    memo: dict[int, dict[int, complex]] = {}
+
+    def solve(rem: int, half: int, pend: int) -> dict[int, complex]:
+        if not rem:
+            return {0: 1 + 0j}
+        key = rem | (half | pend << n) << n
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = {}
+        v = (rem & -rem).bit_length() - 1
+        bit = 1 << v
+        branches = []
+        if not measured[v]:
+            for w, _, mode_w, code, amp in incident[v]:
+                branches.append((place(w, mode_w, rem ^ bit, half, pend), code, amp))
+        elif half & bit:
+            first = pend >> shift[v] & field
+            rest = (rem ^ bit, half ^ bit, pend & ~(field << shift[v]))
+            for w, mode_v, mode_w, code, amp in incident[v]:
+                if mode_v == first:
+                    branches.append((place(w, mode_w, *rest), code, amp))
+        else:
+            for a, b in combinations(incident[v], 2):
+                if a[1] != b[1]:
+                    continue
+                nxt = place(a[0], a[2], rem ^ bit, half, pend)
+                if nxt is not None:
+                    branches.append((place(b[0], b[2], *nxt), a[3] + b[3], a[4] * b[4]))
+        for nxt, code, amp in branches:
+            if nxt is None:
+                continue
+            for sub_code, sub_amp in solve(*nxt).items():
+                c = sub_code + code
+                out[c] = out.get(c, 0j) + sub_amp * amp
+        memo[key] = out
+        return out
+
+    start = ((1 << n) - 1, 0, 0)
+    offset = 0
+    if forced is not None:
+        i, j = g.index(forced.u), g.index(forced.v)
+        start = place(j, forced.mode_v, *place(i, forced.mode_u, *start))
+        offset = forced.mode_u * weight[i] + forced.mode_v * weight[j]
+    sums = {code + offset: amp for code, amp in solve(*start).items()}
+    memo.clear()
+    return sums
 
 
 def state_from_graph(
@@ -117,10 +214,12 @@ def state_from_graph(
     the ket is dropped.  With ``normalize`` the total weight is scaled to 1;
     if everything cancelled there is nothing to normalize and a
     fully-frustrated error is raised."""
-    terms: dict[Ket, complex] = {}
-    for ket, amp in iter_cover_terms(g, override_limits=override_limits):
-        terms[ket] = terms.get(ket, 0j) + amp
-    state = QuantumState(terms).pruned()
+    _check_scale(g, override_limits)
+    radix = _radix(g.edges)
+    sums = _cover_sums(g, radix)
+    codes = sorted(code for code, amp in sums.items() if abs(amp) > AMP_TOL)
+    kets = _decode(codes, radix, len(g.ket_vertices))
+    state = QuantumState({ket: sums[code] for ket, code in zip(kets, codes)})
     if normalize:
         norm = math.sqrt(state.norm_sq())
         if norm <= AMP_TOL:
@@ -129,6 +228,12 @@ def state_from_graph(
             )
         state = QuantumState({k: a / norm for k, a in state.terms.items()}, normalized=True)
     return state
+
+
+def _cover_amplitude_sum(g: ExperimentGraph, *, override_limits: bool = False) -> complex:
+    """Sum over all coincidence covers of their amplitudes, nothing pruned."""
+    _check_scale(g, override_limits)
+    return sum(_cover_sums(g, _radix(g.edges)).values(), 0j)
 
 
 def is_ghz_like(state: QuantumState) -> bool:
@@ -166,36 +271,35 @@ def frustration_scan(
     override_limits: bool = False,
 ) -> list[tuple[float, float]]:
     """Sweep one edge's amplitude phase and report the total unnormalized
-    intensity (sum of |amplitude|^2) at each value."""
-    g.edge_by_id(edge_id)
+    intensity (sum of |amplitude|^2) at each value.
+
+    Two kernel runs give, per ket, B summed over the covers without the edge
+    and A over the covers through it, less its amplitude a.  The ket's
+    amplitude at a phase is B + a * A, so each phase costs one pass over the
+    kets."""
+    edge = g.edge_by_id(edge_id)
+    _check_scale(g, override_limits)
+    rest = ExperimentGraph(g.vertices, [e for e in g.edges if e.id != edge_id], g.measured)
+    radix = _radix(g.edges)
+    without = _cover_sums(rest, radix)
+    through = _cover_sums(rest, radix, forced=edge)
+    pairs = [(without.get(k, 0j), through.get(k, 0j)) for k in without.keys() | through.keys()]
     out = []
     for phase in phases:
         phase = float(phase)
-        edges = [
-            replace(e, amp_phase_rad=phase) if e.id == edge_id else e for e in g.edges
-        ]
-        varied = ExperimentGraph(g.vertices, edges, g.measured)
-        state = state_from_graph(varied, override_limits=override_limits)
-        out.append((phase, state.norm_sq()))
+        amp = cmath.rect(edge.amp_mag, phase)
+        intensity = 0.0
+        for b, a in pairs:
+            total = abs(b + amp * a)
+            if total > AMP_TOL:
+                intensity += total * total
+        out.append((phase, intensity))
     return out
 
 
 # ---------------------------------------------------------------------------
 # target-state search over small multigraphs
 # ---------------------------------------------------------------------------
-
-def _pairings(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect pairings of ``items``, deterministic order."""
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    for idx in range(1, len(items)):
-        partner = items[idx]
-        rest = items[1:idx] + items[idx + 1:]
-        for tail in _pairings(rest):
-            yield ((first, partner),) + tail
-
 
 def search_graph_for_state(
     target: QuantumState,
@@ -240,7 +344,7 @@ def search_graph_for_state(
     ratios = [a / smallest for a in amps]
 
     names = vertex_names(n)
-    all_pairings = list(_pairings(tuple(range(n))))
+    all_pairings = list(pairings(tuple(range(n))))
     pairing_count = len(all_pairings)
     # No graph within the edge budget hosts more distinct covers than this.
     cover_capacity = math.comb(max_edges, n // 2)

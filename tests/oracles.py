@@ -3,6 +3,7 @@ checked against.  Nothing here shares code with the package kernels."""
 
 from __future__ import annotations
 
+import cmath
 from itertools import combinations, permutations
 
 from photongraph import ExperimentGraph
@@ -26,6 +27,28 @@ def brute_force_covers(g: ExperimentGraph) -> list[tuple[str, ...]]:
             out.append(tuple(sorted(e.id for e in combo)))
     out.sort()
     return out
+
+
+def brute_force_state(g: ExperimentGraph) -> dict[tuple[int, ...], complex]:
+    """Unpruned, unnormalized state: every brute-force cover whose measured
+    vertices see one mode from both edges adds its amplitude product to the
+    ket of modes at the unmeasured vertices, in declaration order."""
+    by_id = {e.id: e for e in g.edges}
+    slots = [v for v in g.vertices if v not in g.measured]
+    terms: dict[tuple[int, ...], complex] = {}
+    for cover in brute_force_covers(g):
+        seen: dict[str, int] = {}
+        amp = 1 + 0j
+        consistent = True
+        for edge_id in cover:
+            e = by_id[edge_id]
+            amp *= cmath.rect(e.amp_mag, e.amp_phase_rad)
+            for vertex, mode in ((e.u, e.mode_u), (e.v, e.mode_v)):
+                consistent &= seen.setdefault(vertex, mode) == mode
+        if consistent:
+            ket = tuple(seen[v] for v in slots)
+            terms[ket] = terms.get(ket, 0j) + amp
+    return terms
 
 
 def naive_permanent(matrix):

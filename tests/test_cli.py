@@ -292,3 +292,13 @@ def test_structured_outputs_parse_losslessly(capsys, tmp_path, k4_file, k6_file,
         out = capsys.readouterr().out
         assert code == 0, argv
         json.loads(out)
+
+
+def test_unsynth_malformed_plan_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "bad.plan"
+    path.write_text(json.dumps({"detectors": ["a", "b"], "layers": 5, "wiring": {}}), encoding="utf-8")
+    assert main(["unsynth", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse-error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -139,3 +140,21 @@ def test_render_plan_lists_crystals_by_layer():
     assert "layer 0:" in text and "layer 2:" in text
     assert "crystal I: paths a-b, modes (0,0)" in text
     assert text.index("crystal I:") < text.index("crystal V:")
+
+
+@pytest.mark.parametrize(
+    "change, location",
+    [
+        ({"layers": 5}, "layers"),
+        ({"layers": [[{"id": "x", "u": "a", "v": "b", "amp_mag": "big"}]]}, "layers[0][0].amp_mag"),
+        ({"layers": [[{"id": "x", "u": "a", "v": "b", "mode_v": -1}]]}, "layers[0][0].mode_v"),
+        ({"layers": [[{"id": 7, "u": "a", "v": "b"}]]}, "layers[0][0].id"),
+        ({"wiring": {"a": "x"}}, "wiring.a"),
+    ],
+)
+def test_malformed_plans_rejected_with_location(change, location):
+    doc = {"detectors": ["a", "b"], "layers": [], "wiring": {}}
+    doc.update(change)
+    with pytest.raises(pg.GraphParseError) as err:
+        pg.parse_plan(json.dumps(doc))
+    assert err.value.location == location

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -108,6 +109,19 @@ def test_frustrated_double_edge_amplitude_vanishes():
 def test_network_state_at_unit_p_matches_state_synthesis():
     g = k4_ghz()
     assert pg.states_equal(pg.network_state(g, 1.0), pg.state_from_graph(g))
+
+
+def test_network_state_keeps_small_p_kets():
+    rng = random.Random(8)
+    k8 = pg.complete_graph(8)
+    g = ExperimentGraph(
+        k8.vertices,
+        [Edge(e.id, e.u, e.v, rng.randrange(2), rng.randrange(2), 1.0, rng.uniform(-math.pi, math.pi)) for e in k8.edges],
+    )
+    state = pg.network_state(g, 1e-3)
+    amp = pg.network_amplitude(g, 1e-3)
+    assert state.terms
+    assert abs(sum(state.terms.values()) - amp) <= 1e-9 * abs(amp)
 
 
 def test_network_amplitude_rejects_odd_graphs():

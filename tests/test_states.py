@@ -7,11 +7,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph, QuantumState
 
 from fixt import double_edge, k4_ghz, layered6, w_state_target
+from oracles import brute_force_state
 
 INV_SQRT3 = 1 / math.sqrt(3)
 
@@ -214,3 +217,86 @@ def test_parse_state_rejects_ragged_kets():
 def test_parse_state_rejects_duplicate_kets():
     with pytest.raises(pg.GraphParseError):
         pg.parse_state('[{"modes": [0]}, {"modes": [0]}]')
+
+
+# ---------------------------------------------------------------------------
+# the state kernel against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _half(draw, names, min_edges, max_edges):
+    """Random multigraph on ``names``: parallel edges, modes 0-2, complex
+    amplitudes (some at phases that make covers cancel exactly)."""
+    edges = []
+    for k in range(draw(st.integers(min_value=min_edges, max_value=max_edges))):
+        u, v = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        edges.append(
+            Edge(
+                f"{names[0]}{k}",
+                u,
+                v,
+                mode_u=draw(st.integers(min_value=0, max_value=2)),
+                mode_v=draw(st.integers(min_value=0, max_value=2)),
+                amp_mag=draw(st.sampled_from([0.5, 1.0, 1.5])),
+                amp_phase_rad=draw(
+                    st.one_of(
+                        st.sampled_from([0.0, math.pi / 2, math.pi]),
+                        st.floats(min_value=-math.pi, max_value=math.pi),
+                    )
+                ),
+            )
+        )
+    return ExperimentGraph(names, edges)
+
+
+@st.composite
+def kernel_graphs(draw):
+    """Plain multigraphs on up to 8 vertices, or two halves merged at one or
+    two vertex pairs into a graph of at most 8 vertices."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=8))
+        return draw(_half(pg.vertex_names(n), 0, 12))
+    pairs = draw(st.integers(min_value=1, max_value=2))
+    left = draw(_half(list("abcd"), 5, 9))
+    right = draw(_half(list("wxyz"), 5, 9))
+    return pg.merge_graphs(left, right, list(zip("dc", "wx"))[:pairs])
+
+
+@given(kernel_graphs())
+@settings(max_examples=150, deadline=None)
+def test_state_kernel_matches_brute_force(g):
+    state = pg.state_from_graph(g)
+    reference = brute_force_state(g)
+    assert all(abs(a) > pg.states.AMP_TOL for a in state.terms.values())
+    for ket in set(state.terms) | set(reference):
+        assert abs(state.terms.get(ket, 0j) - reference.get(ket, 0j)) <= 1e-9
+
+
+def _oracle_intensity(g, edge_id, phase):
+    edges = [
+        Edge(e.id, e.u, e.v, e.mode_u, e.mode_v, e.amp_mag, phase if e.id == edge_id else e.amp_phase_rad)
+        for e in g.edges
+    ]
+    terms = brute_force_state(ExperimentGraph(g.vertices, edges, g.measured))
+    return sum(abs(a) ** 2 for a in terms.values() if abs(a) > pg.states.AMP_TOL)
+
+
+@given(kernel_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_frustration_scan_matches_brute_force(g, data):
+    if not g.edges:
+        return
+    edge_id = data.draw(st.sampled_from(sorted(e.id for e in g.edges)))
+    phases = [0.0, math.pi / 3, math.pi, -2.0]
+    for phase, intensity in pg.frustration_scan(g, edge_id, phases):
+        expected = _oracle_intensity(g, edge_id, phase)
+        assert abs(intensity - expected) <= 1e-9 * (1 + expected)
+
+
+def test_state_guard_still_refuses_large_edge_sets():
+    g = pg.complete_graph(12)
+    assert len(g.edges) > pg.matching.EDGE_LIMIT
+    with pytest.raises(pg.ScaleLimitError):
+        pg.state_from_graph(g)
+    with pytest.raises(pg.ScaleLimitError):
+        pg.frustration_scan(g, "e0", [0.0])
