@@ -120,6 +120,108 @@ def test_plan_document_round_trip():
     assert pg.serialize_plan(back) == text
 
 
+# The plan document of k4_ghz, written out in full: plan crystals are graph
+# edge records without ``layer``.
+K4_GHZ_PLAN = """\
+{
+  "detectors": [
+    "a",
+    "b",
+    "c",
+    "d"
+  ],
+  "layers": [
+    [
+      {
+        "id": "I",
+        "u": "a",
+        "v": "b",
+        "mode_u": 0,
+        "mode_v": 0,
+        "amp_mag": 1.0,
+        "amp_phase_rad": 0.0
+      },
+      {
+        "id": "II",
+        "u": "c",
+        "v": "d",
+        "mode_u": 0,
+        "mode_v": 0,
+        "amp_mag": 1.0,
+        "amp_phase_rad": 0.0
+      }
+    ],
+    [
+      {
+        "id": "III",
+        "u": "a",
+        "v": "c",
+        "mode_u": 1,
+        "mode_v": 1,
+        "amp_mag": 1.0,
+        "amp_phase_rad": 0.0
+      },
+      {
+        "id": "IV",
+        "u": "b",
+        "v": "d",
+        "mode_u": 1,
+        "mode_v": 1,
+        "amp_mag": 1.0,
+        "amp_phase_rad": 0.0
+      }
+    ],
+    [
+      {
+        "id": "V",
+        "u": "a",
+        "v": "d",
+        "mode_u": 2,
+        "mode_v": 2,
+        "amp_mag": 1.0,
+        "amp_phase_rad": 0.0
+      },
+      {
+        "id": "VI",
+        "u": "b",
+        "v": "c",
+        "mode_u": 2,
+        "mode_v": 2,
+        "amp_mag": 1.0,
+        "amp_phase_rad": 0.0
+      }
+    ]
+  ],
+  "wiring": {
+    "a": [
+      "I",
+      "III",
+      "V"
+    ],
+    "b": [
+      "I",
+      "IV",
+      "VI"
+    ],
+    "c": [
+      "II",
+      "III",
+      "VI"
+    ],
+    "d": [
+      "II",
+      "IV",
+      "V"
+    ]
+  }
+}
+"""
+
+
+def test_plan_document_golden():
+    assert pg.serialize_plan(pg.synthesize_setup(k4_ghz())) == K4_GHZ_PLAN
+
+
 def test_wiring_is_chronological():
     plan = pg.synthesize_setup(k4_ghz())
     assert plan.wiring["a"] == ("I", "III", "V")
