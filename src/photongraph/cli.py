@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import compiler, counting, feasibility, matching, networks, states
 from .errors import PhotonGraphError, ScaleLimitError
-from .graph import merge_graphs, parse_graph, serialize_graph, to_dot
+from .graph import _expect, _float_value, merge_graphs, parse_graph, serialize_graph, to_dot
 
 
 def _read(path: str) -> str:
@@ -239,25 +239,23 @@ def _load_matrix(path: str):
         doc = None
     if isinstance(doc, dict):
         return parse_graph(text), None
-    if isinstance(doc, list):
-        matrix = []
-        for row in doc:
-            if not isinstance(row, list):
-                raise PhotonGraphError("matrix file must be a list of rows", reason="parse-error")
-            out_row = []
-            for entry in row:
-                if isinstance(entry, list) and len(entry) == 2:
-                    out_row.append(complex(entry[0], entry[1]))
-                elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                    out_row.append(entry)
-                else:
-                    raise PhotonGraphError(
-                        f"matrix entries must be numbers or [re, im] pairs, got {entry!r}",
-                        reason="parse-error",
-                    )
-            matrix.append(out_row)
-        return None, matrix
-    raise PhotonGraphError("file is neither a graph document nor a matrix", reason="parse-error")
+    _expect(isinstance(doc, list), "file is neither a graph document nor a matrix", "<matrix>")
+    matrix = []
+    for i, row in enumerate(doc):
+        _expect(isinstance(row, list), "row must be a list of entries", f"matrix[{i}]")
+        matrix.append([_matrix_entry(entry, f"matrix[{i}][{j}]") for j, entry in enumerate(row)])
+    return None, matrix
+
+
+def _matrix_entry(raw, location: str):
+    """An integer stays an integer, so integer matrices are computed exactly;
+    a float or an ``[re, im]`` pair must be finite."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, list):
+        _expect(len(raw) == 2, "complex entries must be [re, im] pairs", location)
+        return complex(_float_value(raw[0], f"{location}[0]"), _float_value(raw[1], f"{location}[1]"))
+    return _float_value(raw, location)
 
 
 def _matrix_result(args, value) -> int:

@@ -6,18 +6,22 @@ chronological wiring of every path through its crystals.  Existing layer
 tags are kept verbatim when they already form matchings; untagged crystals
 are slotted greedily in edge-id order, which needs at most 2*Delta - 1
 layers.  ``plan_to_graph`` inverts the construction.
+
+A plan crystal is the graph's own :class:`~photongraph.graph.Edge` with no
+layer tag: its layer is its position in the plan.  Plan files store each
+crystal as a graph edge record without ``layer``, read and written by the
+graph module's codec and validated by the same rules.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, GraphParseError
-from .graph import Edge, ExperimentGraph, _expect, _float_value, _mode_value
+from .graph import Edge, ExperimentGraph, _edge_record, _expect, _read_edge, _read_names
 
 __all__ = [
-    "Crystal",
     "SetupPlan",
     "synthesize_setup",
     "plan_to_graph",
@@ -27,26 +31,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Crystal:
-    edge_id: str
-    u: str
-    v: str
-    mode_u: int
-    mode_v: int
-    amp_mag: float
-    amp_phase_rad: float
-
-
 @dataclass
 class SetupPlan:
+    """Detectors, crystal layers and path wiring.  Crystals are edges whose
+    ``layer`` is None."""
+
     detectors: tuple[str, ...]
-    layers: tuple[tuple[Crystal, ...], ...]
+    layers: tuple[tuple[Edge, ...], ...]
     wiring: dict[str, tuple[str, ...]]
-
-
-def _crystal(e: Edge) -> Crystal:
-    return Crystal(e.id, e.u, e.v, e.mode_u, e.mode_v, e.amp_mag, e.amp_phase_rad)
 
 
 def _wiring(detectors, layers) -> dict[str, tuple[str, ...]]:
@@ -56,7 +48,7 @@ def _wiring(detectors, layers) -> dict[str, tuple[str, ...]]:
         for layer in layers:
             for c in layer:
                 if path in (c.u, c.v):
-                    hits.append(c.edge_id)
+                    hits.append(c.id)
         out[path] = tuple(hits)
     return out
 
@@ -96,12 +88,11 @@ def synthesize_setup(g: ExperimentGraph) -> SetupPlan:
                 break
             tag += 1
 
-    by_id = {e.id: e for e in g.edges}
+    # Untagged edges are crystals as they stand; tagged ones lose the tag.
+    crystals = {e.id: e if e.layer is None else replace(e, layer=None) for e in g.edges}
     layers = tuple(
-        tuple(_crystal(by_id[eid]) for eid in sorted(ids))
-        for tag, ids in sorted(
-            _group(assigned).items()
-        )
+        tuple(crystals[eid] for eid in sorted(ids))
+        for tag, ids in sorted(_group(assigned).items())
     )
     return SetupPlan(tuple(g.vertices), layers, _wiring(g.vertices, layers))
 
@@ -122,22 +113,11 @@ def plan_to_graph(plan: SetupPlan) -> ExperimentGraph:
         for c in layer:
             if c.u in used_paths or c.v in used_paths:
                 raise DomainError(
-                    f"layer {pos} has two crystals sharing a path (at {c.edge_id!r})",
+                    f"layer {pos} has two crystals sharing a path (at {c.id!r})",
                     reason="layer-conflict",
                 )
             used_paths.update((c.u, c.v))
-            edges.append(
-                Edge(
-                    id=c.edge_id,
-                    u=c.u,
-                    v=c.v,
-                    mode_u=c.mode_u,
-                    mode_v=c.mode_v,
-                    amp_mag=c.amp_mag,
-                    amp_phase_rad=c.amp_phase_rad,
-                    layer=pos,
-                )
-            )
+            edges.append(replace(c, layer=pos))
     g = ExperimentGraph(plan.detectors, edges)
     expected = _wiring(plan.detectors, plan.layers)
     if dict(plan.wiring) != expected:
@@ -152,21 +132,7 @@ def plan_to_graph(plan: SetupPlan) -> ExperimentGraph:
 def serialize_plan(plan: SetupPlan) -> str:
     doc = {
         "detectors": list(plan.detectors),
-        "layers": [
-            [
-                {
-                    "id": c.edge_id,
-                    "u": c.u,
-                    "v": c.v,
-                    "mode_u": c.mode_u,
-                    "mode_v": c.mode_v,
-                    "amp_mag": c.amp_mag,
-                    "amp_phase_rad": c.amp_phase_rad,
-                }
-                for c in layer
-            ]
-            for layer in plan.layers
-        ],
+        "layers": [[_edge_record(c) for c in layer] for layer in plan.layers],
         "wiring": {path: list(ids) for path, ids in plan.wiring.items()},
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -183,30 +149,19 @@ def parse_plan(text: str) -> SetupPlan:
         "plan must be an object with detectors, layers and wiring",
         "<plan>",
     )
-    detectors = doc["detectors"]
-    _expect(isinstance(detectors, list) and all(isinstance(d, str) for d in detectors),
-            "detectors must be a list of names", "detectors")
+    detectors = _read_names(doc["detectors"], "detectors")
     _expect(isinstance(doc["layers"], list), "layers must be a list of layers", "layers")
     layers = []
+    seen_ids: set[str] = set()
     for i, raw_layer in enumerate(doc["layers"]):
         _expect(isinstance(raw_layer, list), "layer must be a list of crystals", f"layers[{i}]")
         layer = []
         for j, rec in enumerate(raw_layer):
             loc = f"layers[{i}][{j}]"
-            _expect(isinstance(rec, dict) and {"id", "u", "v"} <= set(rec), "crystal must carry id, u and v", loc)
-            for key in ("id", "u", "v"):
-                _expect(isinstance(rec[key], str), f"{key} must be a string", f"{loc}.{key}")
-            layer.append(
-                Crystal(
-                    rec["id"],
-                    rec["u"],
-                    rec["v"],
-                    _mode_value(rec.get("mode_u", 0), f"{loc}.mode_u"),
-                    _mode_value(rec.get("mode_v", 0), f"{loc}.mode_v"),
-                    _float_value(rec.get("amp_mag", 1.0), f"{loc}.amp_mag"),
-                    _float_value(rec.get("amp_phase_rad", 0.0), f"{loc}.amp_phase_rad"),
-                )
-            )
+            crystal = _read_edge(rec, loc, detectors, seen_ids)
+            if crystal.layer is not None:
+                raise GraphParseError("a crystal's layer is its position in the plan", location=f"{loc}.layer")
+            layer.append(crystal)
         layers.append(tuple(layer))
     wiring = doc["wiring"]
     _expect(isinstance(wiring, dict), "wiring must map paths to crystal lists", "wiring")
@@ -230,7 +185,7 @@ def render_plan(plan: SetupPlan) -> str:
             if c.amp_phase_rad:
                 amp += f" @ {c.amp_phase_rad:g} rad"
             lines.append(
-                f"  crystal {c.edge_id}: paths {c.u}-{c.v}, "
+                f"  crystal {c.id}: paths {c.u}-{c.v}, "
                 f"modes ({c.mode_u},{c.mode_v}), amplitude {amp}"
             )
     lines.append("wiring:")

@@ -13,6 +13,8 @@ double precision; results should be compared at a 1e-9 tolerance.
 
 from __future__ import annotations
 
+import cmath
+
 from .errors import DomainError, ScaleLimitError
 from .graph import ExperimentGraph
 
@@ -38,6 +40,13 @@ def _validate_square(matrix) -> int:
         if len(row) != n:
             raise DomainError(f"matrix must be square, got a row of length {len(row)} for order {n}")
     return n
+
+
+def _finite(result):
+    """Integer results are exact; a float or complex one must be finite."""
+    if isinstance(result, (float, complex)) and not cmath.isfinite(result):
+        raise DomainError("result overflows double precision", reason="overflow")
+    return result
 
 
 def hafnian(matrix, *, override_limits: bool = False):
@@ -80,7 +89,7 @@ def hafnian(matrix, *, override_limits: bool = False):
         memo[mask] = total
         return total
 
-    return rec((1 << n) - 1)
+    return _finite(rec((1 << n) - 1))
 
 
 def permanent(matrix, *, override_limits: bool = False):
@@ -117,7 +126,7 @@ def permanent(matrix, *, override_limits: bool = False):
         else:
             total -= prod
         prev_gray = gray
-    return total
+    return _finite(total)
 
 
 def count_pm_via_matrix(g: ExperimentGraph, *, override_limits: bool = False) -> int:

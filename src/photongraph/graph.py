@@ -18,6 +18,9 @@ File format (UTF-8 JSON): top-level object with
 * ``edges``     - list of objects ``{id, u, v, mode_u, mode_v, amp_mag,
   amp_phase_rad[, layer]}``; ``id`` may be omitted and is then generated
   as ``e<position>``.
+
+Setup plans (:mod:`photongraph.compiler`) store their crystals as the same
+edge records without ``layer``, read and written by the same functions.
 """
 
 from __future__ import annotations
@@ -81,21 +84,11 @@ class Edge:
     def amplitude(self) -> complex:
         return cmath.rect(self.amp_mag, self.amp_phase_rad)
 
-    def endpoints(self) -> tuple[str, str]:
-        return (self.u, self.v)
-
     def other(self, vertex: str) -> str:
         if vertex == self.u:
             return self.v
         if vertex == self.v:
             return self.u
-        raise DomainError(f"vertex {vertex!r} is not an endpoint of edge {self.id!r}")
-
-    def mode_at(self, vertex: str) -> int:
-        if vertex == self.u:
-            return self.mode_u
-        if vertex == self.v:
-            return self.mode_v
         raise DomainError(f"vertex {vertex!r} is not an endpoint of edge {self.id!r}")
 
 
@@ -296,16 +289,66 @@ def _expect(condition: bool, message: str, location: str):
 
 
 def _mode_value(raw, location: str) -> int:
-    _expect(isinstance(raw, int) and not isinstance(raw, bool), "mode must be an integer", location)
-    _expect(raw >= 0, "mode must be nonnegative", location)
-    return raw
+    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
+        return raw
+    raise GraphParseError("mode must be a nonnegative integer", location=location)
 
 
 def _float_value(raw, location: str) -> float:
-    _expect(isinstance(raw, (int, float)) and not isinstance(raw, bool), "expected a number", location)
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise GraphParseError("expected a number", location=location)
     value = float(raw)
-    _expect(math.isfinite(value), "number must be finite", location)
+    if not math.isfinite(value):
+        raise GraphParseError("number must be finite", location=location)
     return value
+
+
+def _read_names(raw, location: str) -> list[str]:
+    """A list of unique vertex names (graph vertices, plan detectors)."""
+    _expect(isinstance(raw, list), f"{location} must be a list", location)
+    names: list[str] = []
+    for i, name in enumerate(raw):
+        _expect(isinstance(name, str) and name != "", "vertex name must be a nonempty string", f"{location}[{i}]")
+        _expect(name not in names, f"duplicate vertex {name!r}", f"{location}[{i}]")
+        names.append(name)
+    return names
+
+
+def _read_edge(rec, loc: str, vertices, ids: set[str], default_id: str | None = None) -> Edge:
+    """One edge record of a graph document or plan crystal.  The id falls
+    back to ``default_id``; without one it is required.  Adds the id to
+    ``ids``, which must not hold it yet.  Messages are formatted only on
+    failure, since this runs once per edge of every document."""
+    _expect(isinstance(rec, dict), "edge must be an object", loc)
+    if not rec.keys() <= _EDGE_KEYS:
+        raise GraphParseError(f"unknown keys {sorted(rec.keys() - _EDGE_KEYS)}", location=loc)
+    edge_id = rec.get("id", default_id)
+    _expect(edge_id is not None, "missing id", loc)
+    if not isinstance(edge_id, str) or edge_id == "":
+        raise GraphParseError("id must be a nonempty string", location=f"{loc}.id")
+    if edge_id in ids:
+        raise GraphParseError(f"duplicate edge id {edge_id!r}", location=f"{loc}.id")
+    ids.add(edge_id)
+    for key in ("u", "v"):
+        if key not in rec:
+            raise GraphParseError(f"missing endpoint {key!r}", location=loc)
+        if rec[key] not in vertices:
+            raise GraphParseError(f"unknown endpoint {rec[key]!r}", location=f"{loc}.{key}")
+    if rec["u"] == rec["v"]:
+        raise GraphParseError(f"self-loop on {rec['u']!r}", location=loc)
+    layer = rec.get("layer")
+    if layer is not None and not (isinstance(layer, int) and not isinstance(layer, bool) and layer >= 0):
+        raise GraphParseError("layer must be a nonnegative integer", location=f"{loc}.layer")
+    return Edge(
+        id=edge_id,
+        u=rec["u"],
+        v=rec["v"],
+        mode_u=_mode_value(rec.get("mode_u", 0), f"{loc}.mode_u"),
+        mode_v=_mode_value(rec.get("mode_v", 0), f"{loc}.mode_v"),
+        amp_mag=_float_value(rec.get("amp_mag", 1.0), f"{loc}.amp_mag"),
+        amp_phase_rad=_float_value(rec.get("amp_phase_rad", 0.0), f"{loc}.amp_phase_rad"),
+        layer=layer,
+    )
 
 
 def parse_graph(text: str) -> ExperimentGraph:
@@ -317,14 +360,7 @@ def parse_graph(text: str) -> ExperimentGraph:
     _expect(isinstance(doc, dict), "top level must be an object", "<document>")
     unknown = set(doc) - {"vertices", "measured", "edges"}
     _expect(not unknown, f"unknown keys {sorted(unknown)}", "<document>")
-
-    raw_vertices = doc.get("vertices", [])
-    _expect(isinstance(raw_vertices, list), "vertices must be a list", "vertices")
-    vertices: list[str] = []
-    for i, name in enumerate(raw_vertices):
-        _expect(isinstance(name, str) and name != "", "vertex name must be a nonempty string", f"vertices[{i}]")
-        _expect(name not in vertices, f"duplicate vertex {name!r}", f"vertices[{i}]")
-        vertices.append(name)
+    vertices = _read_names(doc.get("vertices", []), "vertices")
 
     raw_measured = doc.get("measured", [])
     _expect(isinstance(raw_measured, list), "measured must be a list", "measured")
@@ -333,35 +369,8 @@ def parse_graph(text: str) -> ExperimentGraph:
 
     raw_edges = doc.get("edges", [])
     _expect(isinstance(raw_edges, list), "edges must be a list", "edges")
-    edges: list[Edge] = []
     ids: set[str] = set()
-    for i, rec in enumerate(raw_edges):
-        loc = f"edges[{i}]"
-        _expect(isinstance(rec, dict), "edge must be an object", loc)
-        unknown = set(rec) - _EDGE_KEYS
-        _expect(not unknown, f"unknown keys {sorted(unknown)}", loc)
-        edge_id = rec.get("id", f"e{i}")
-        _expect(isinstance(edge_id, str) and edge_id != "", "id must be a nonempty string", f"{loc}.id")
-        _expect(edge_id not in ids, f"duplicate edge id {edge_id!r}", f"{loc}.id")
-        ids.add(edge_id)
-        for key in ("u", "v"):
-            _expect(key in rec, f"missing endpoint {key!r}", loc)
-            _expect(rec[key] in vertices, f"unknown endpoint {rec[key]!r}", f"{loc}.{key}")
-        _expect(rec["u"] != rec["v"], f"self-loop on {rec['u']!r}", loc)
-        layer = rec.get("layer")
-        if layer is not None:
-            _expect(isinstance(layer, int) and not isinstance(layer, bool) and layer >= 0,
-                    "layer must be a nonnegative integer", f"{loc}.layer")
-        edges.append(Edge(
-            id=edge_id,
-            u=rec["u"],
-            v=rec["v"],
-            mode_u=_mode_value(rec.get("mode_u", 0), f"{loc}.mode_u"),
-            mode_v=_mode_value(rec.get("mode_v", 0), f"{loc}.mode_v"),
-            amp_mag=_float_value(rec.get("amp_mag", 1.0), f"{loc}.amp_mag"),
-            amp_phase_rad=_float_value(rec.get("amp_phase_rad", 0.0), f"{loc}.amp_phase_rad"),
-            layer=layer,
-        ))
+    edges = [_read_edge(rec, f"edges[{i}]", vertices, ids, f"e{i}") for i, rec in enumerate(raw_edges)]
     return ExperimentGraph(vertices, edges, raw_measured)
 
 

@@ -76,6 +76,12 @@ def _sorted_edges(g: ExperimentGraph) -> list[Edge]:
     return sorted(g.edges, key=lambda e: e.id)
 
 
+def _edge_masks(g: ExperimentGraph, pms: list[Matching]) -> list[int]:
+    """Each matching as a bitmask over the id-sorted edge list."""
+    pos = {e.id: i for i, e in enumerate(_sorted_edges(g))}
+    return [sum(1 << pos[edge_id] for edge_id in pm) for pm in pms]
+
+
 def _iter_covers(g: ExperimentGraph) -> Iterator[tuple[int, ...]]:
     """Yield coincidence covers as tuples of indices into the id-sorted edge
     list.  Branches on include/exclude decisions for the lowest-index edge at
@@ -189,13 +195,7 @@ def max_disjoint_pms(
     masks; among maximum witnesses the lexicographically first one is
     returned."""
     pms = enumerate_pm(g, override_limits=override_limits)
-    edge_pos = {e.id: i for i, e in enumerate(_sorted_edges(g))}
-    masks = []
-    for pm in pms:
-        mask = 0
-        for edge_id in pm:
-            mask |= 1 << edge_pos[edge_id]
-        masks.append(mask)
+    masks = _edge_masks(g, pms)
 
     best: list[int] = []
 
@@ -292,15 +292,8 @@ def enumerate_factorizations(
         raise DomainError("factorizations are defined for unmeasured graphs")
 
     pms = enumerate_pm(g, override_limits=override_limits)
-    edge_ids = [e.id for e in _sorted_edges(g)]
-    pos = {edge_id: i for i, edge_id in enumerate(edge_ids)}
-    masks = []
-    for pm in pms:
-        mask = 0
-        for edge_id in pm:
-            mask |= 1 << pos[edge_id]
-        masks.append(mask)
-    full = (1 << len(edge_ids)) - 1
+    masks = _edge_masks(g, pms)
+    full = (1 << len(g.edges)) - 1
 
     out: list[Factorization] = []
     chosen: list[int] = []
@@ -317,7 +310,7 @@ def enumerate_factorizations(
                 rec(used | mask)
                 chosen.pop()
 
-    if edge_ids:
+    if g.edges:
         rec(0)
     elif not g.vertices:
         out.append(Factorization(()))

@@ -217,11 +217,15 @@ def state_from_graph(
     _check_scale(g, override_limits)
     radix = _radix(g.edges)
     sums = _cover_sums(g, radix)
+    if not all(map(cmath.isfinite, sums.values())):
+        raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
     codes = sorted(code for code, amp in sums.items() if abs(amp) > AMP_TOL)
     kets = _decode(codes, radix, len(g.ket_vertices))
     state = QuantumState({ket: sums[code] for ket, code in zip(kets, codes)})
     if normalize:
-        norm = math.sqrt(state.norm_sq())
+        norm = math.hypot(*map(abs, state.terms.values()))
+        if not math.isfinite(norm):
+            raise DomainError("the state's norm overflows double precision", reason="overflow")
         if norm <= AMP_TOL:
             raise FullyFrustratedError(
                 "all coincidence amplitudes cancel; the state cannot be normalized"
@@ -233,7 +237,10 @@ def state_from_graph(
 def _cover_amplitude_sum(g: ExperimentGraph, *, override_limits: bool = False) -> complex:
     """Sum over all coincidence covers of their amplitudes, nothing pruned."""
     _check_scale(g, override_limits)
-    return sum(_cover_sums(g, _radix(g.edges)).values(), 0j)
+    total = sum(_cover_sums(g, _radix(g.edges)).values(), 0j)
+    if not cmath.isfinite(total):
+        raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
+    return total
 
 
 def is_ghz_like(state: QuantumState) -> bool:
@@ -293,6 +300,8 @@ def frustration_scan(
             total = abs(b + amp * a)
             if total > AMP_TOL:
                 intensity += total * total
+        if not math.isfinite(intensity):
+            raise DomainError(f"intensity at phase {phase:g} overflows double precision", reason="overflow")
         out.append((phase, intensity))
     return out
 

@@ -196,7 +196,7 @@ def test_criterion_11_round_trips():
             for c in layer:
                 ok = ok and c.u not in paths and c.v not in paths
                 paths.update((c.u, c.v))
-                placed.append(c.edge_id)
+                placed.append(c.id)
         ok = ok and sorted(placed) == sorted(e.id for e in g.edges)
         back = pg.plan_to_graph(plan)
         structural = lambda gr: sorted(

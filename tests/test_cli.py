@@ -302,3 +302,45 @@ def test_unsynth_malformed_plan_is_one_error_line(capsys, tmp_path):
     assert err.startswith("error: parse-error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "matrix, location",
+    [
+        ("[[NaN]]", "matrix[0][0]"),
+        ('[[["1", 2]]]', "matrix[0][0][0]"),
+        ("[[[true, 0]]]", "matrix[0][0][0]"),
+    ],
+)
+def test_malformed_matrix_is_one_located_error_line(capsys, tmp_path, matrix, location):
+    path = tmp_path / "m.json"
+    path.write_text(matrix, encoding="utf-8")
+    assert main(["permanent", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: parse-error: {location}: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+_HUGE_PAIR = pg.serialize_graph(
+    pg.ExperimentGraph(["a", "b"], [pg.Edge("x", "a", "b", amp_mag=1e308), pg.Edge("y", "a", "b", amp_mag=1e308)])
+)
+
+
+@pytest.mark.parametrize(
+    "document, argv",
+    [
+        (_HUGE_PAIR, ["state"]),
+        (_HUGE_PAIR, ["state", "--normalize"]),
+        (_HUGE_PAIR, ["frustrate", "x", "--phases", "0"]),
+        ("[[1e308, 1e308], [1e308, 1e308]]", ["permanent"]),
+    ],
+)
+def test_overflow_is_one_error_line(capsys, tmp_path, document, argv):
+    path = tmp_path / "input.json"
+    path.write_text(document, encoding="utf-8")
+    assert main([argv[0], str(path)] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: overflow: ")
+    assert len(captured.err.strip().splitlines()) == 1

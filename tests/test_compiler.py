@@ -22,7 +22,7 @@ def test_k4_plan_is_three_matching_layers():
     plan = pg.synthesize_setup(g)
     assert len(plan.layers) == 3
     for layer in plan.layers:
-        ids = [c.edge_id for c in layer]
+        ids = [c.id for c in layer]
         assert pg.is_coincidence_cover(g, ids)
 
 
@@ -36,7 +36,7 @@ def test_single_edge_single_layer():
 def test_existing_tags_are_preserved():
     g = k4_ghz()
     plan = pg.synthesize_setup(g)
-    by_layer = [sorted(c.edge_id for c in layer) for layer in plan.layers]
+    by_layer = [sorted(c.id for c in layer) for layer in plan.layers]
     assert by_layer == [["I", "II"], ["III", "IV"], ["V", "VI"]]
     back = pg.plan_to_graph(plan)
     assert back == g  # dense tags survive the round trip verbatim
@@ -52,11 +52,11 @@ def test_partially_tagged_graph_keeps_tags_and_fills_rest():
         ],
     )
     plan = pg.synthesize_setup(g)
-    by_layer = [sorted(c.edge_id for c in layer) for layer in plan.layers]
+    by_layer = [sorted(c.id for c in layer) for layer in plan.layers]
     assert by_layer[0] == ["I", "II"]
     assert len(plan.layers) == 3
     for layer in plan.layers:
-        assert pg.is_coincidence_cover(g, [c.edge_id for c in layer])
+        assert pg.is_coincidence_cover(g, [c.id for c in layer])
 
 
 def test_conflicting_tags_rejected():
@@ -105,7 +105,7 @@ def test_round_trip_random_graphs_and_layer_properties():
             for c in layer:
                 assert c.u not in paths and c.v not in paths
                 paths.update((c.u, c.v))
-                seen.append(c.edge_id)
+                seen.append(c.id)
         assert sorted(seen) == sorted(e.id for e in g.edges)
         delta = max((g.degree(v) for v in g.vertices), default=0)
         assert len(plan.layers) <= max(2 * delta - 1, 0) + (0 if g.edges else 0)
@@ -252,6 +252,13 @@ def test_render_plan_lists_crystals_by_layer():
         ({"layers": [[{"id": "x", "u": "a", "v": "b", "mode_v": -1}]]}, "layers[0][0].mode_v"),
         ({"layers": [[{"id": 7, "u": "a", "v": "b"}]]}, "layers[0][0].id"),
         ({"wiring": {"a": "x"}}, "wiring.a"),
+        ({"layers": [[{"id": "x", "u": "a", "v": "b", "colour": "red"}]]}, "layers[0][0]"),
+        ({"layers": [[{"id": "x", "u": "a", "v": "a"}]]}, "layers[0][0]"),
+        ({"layers": [[{"id": "x", "u": "a", "v": "z"}]]}, "layers[0][0].v"),
+        ({"layers": [[{"id": "x", "u": "a", "v": "b", "layer": 0}]]}, "layers[0][0].layer"),
+        ({"layers": [[{"id": "x", "u": "a", "v": "b"}], [{"id": "x", "u": "a", "v": "b"}]]}, "layers[1][0].id"),
+        ({"layers": [[{"u": "a", "v": "b"}]]}, "layers[0][0]"),
+        ({"detectors": ["a", "a"]}, "detectors[1]"),
     ],
 )
 def test_malformed_plans_rejected_with_location(change, location):

@@ -115,6 +115,16 @@ def test_permanent_complex_matches_naive():
     assert abs(pg.permanent(m) - naive_permanent(m)) < 1e-9
 
 
+def test_overflowing_float_results_are_domain_errors():
+    for kernel, m in (
+        (pg.permanent, [[1e308, 1e308], [1e308, 1e308]]),
+        (pg.hafnian, [[0 if i == j else 1e308 for j in range(4)] for i in range(4)]),
+    ):
+        with pytest.raises(pg.DomainError) as err:
+            kernel(m)
+        assert err.value.reason == "overflow"
+
+
 def test_permanent_rejects_non_square():
     with pytest.raises(pg.DomainError):
         pg.permanent([[1, 2, 3], [4, 5, 6]])

@@ -124,6 +124,13 @@ def test_network_state_keeps_small_p_kets():
     assert abs(sum(state.terms.values()) - amp) <= 1e-9 * abs(amp)
 
 
+def test_overflowing_network_amplitude_is_a_domain_error():
+    g = ExperimentGraph(["a", "b"], [Edge("x", "a", "b", amp_mag=1e308), Edge("y", "a", "b", amp_mag=1e308)])
+    with pytest.raises(pg.DomainError) as err:
+        pg.network_amplitude(g, 1.0)
+    assert err.value.reason == "overflow"
+
+
 def test_network_amplitude_rejects_odd_graphs():
     g = ExperimentGraph(["a", "b", "c"], [Edge("x", "a", "b")])
     with pytest.raises(pg.DomainError):

@@ -124,6 +124,20 @@ def test_normalization_total_weight():
     assert state.normalized
 
 
+def test_normalization_of_huge_amplitudes():
+    g = ExperimentGraph(["a", "b"], [Edge("x", "a", "b", amp_mag=1e200)])
+    state = pg.state_from_graph(g, normalize=True)
+    assert state.terms == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_overflowing_amplitude_sum_is_a_domain_error(normalize):
+    g = ExperimentGraph(["a", "b"], [Edge("x", "a", "b", amp_mag=1e308), Edge("y", "a", "b", amp_mag=1e308)])
+    with pytest.raises(pg.DomainError) as err:
+        pg.state_from_graph(g, normalize=normalize)
+    assert err.value.reason == "overflow"
+
+
 def test_search_finds_w_state():
     target = w_state_target()
     found = pg.search_graph_for_state(target)
