@@ -1,0 +1,79 @@
+"""Golden outputs of the combinatorial searches.
+
+The Tutte matching search, the disjoint-matching search, the factorization
+enumerator and the target-state search each return the first answer they
+meet, so their outputs depend on search order.  This test pins a hash of
+every answer on a fixed seeded input set: a change that only prunes work
+which cannot alter an answer leaves the hash unchanged, including which
+matching, witness or graph comes first."""
+
+from __future__ import annotations
+
+import cmath
+import hashlib
+import math
+import random
+
+import photongraph as pg
+from photongraph import Edge, ExperimentGraph, QuantumState, vertex_names
+
+GOLDEN_SHA256 = "6b144708a5bc43cb3184d9df21f13a8a7042ed7b258addbe67944f5f5165e90a"
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        result = fn(*args, **kwargs)
+    except pg.PhotonGraphError as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(result, ExperimentGraph):
+        return pg.serialize_graph(result)
+    return result
+
+
+def _graphs():
+    rng = random.Random(4)
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        yield pg.random_graph(n, rng.uniform(0.1, 0.5), rng.getrandbits(32))
+    # K_k plus two disjoint triangles: no perfect matching, empty witness.
+    for k in (6, 8, 10):
+        names = vertex_names(k + 6)
+        edges = [Edge(f"k{i}.{j}", names[i], names[j]) for i in range(k) for j in range(i + 1, k)]
+        for t in (k, k + 3):
+            edges += [Edge(f"t{a}.{b}", names[a], names[b]) for a, b in ((t, t + 1), (t, t + 2), (t + 1, t + 2))]
+        yield ExperimentGraph(names, edges)
+    # Multigraphs with two modes, parallel edges and 0-2 measured vertices.
+    for _ in range(150):
+        n = rng.randrange(4, 7)
+        names = vertex_names(n)
+        edges = []
+        for k in range(rng.randrange(2, 3 * n)):
+            i, j = sorted(rng.sample(range(n), 2))
+            edges.append(Edge(f"m{k}", names[i], names[j], rng.randrange(2), rng.randrange(2)))
+        yield ExperimentGraph(names, edges, rng.sample(names, rng.choice([0, 0, 1, 2])))
+    for n in (4, 6, 8):
+        yield pg.complete_graph(n)
+
+
+def _targets():
+    for n, d in ((4, 2), (4, 3), (6, 2), (6, 3), (8, 2), (4, 4)):
+        yield QuantumState({(m,) * n: 1 / math.sqrt(d) for m in range(d)}), 8
+    rng = random.Random(5)
+    for t in range(60):
+        n = rng.choice([2, 4])
+        kets = {tuple(rng.randrange(3) for _ in range(n)) for _ in range(rng.randrange(1, 4))}
+        terms = {
+            k: cmath.rect(rng.choice([1.0, 1.0, 2.0]), rng.choice([0.0, 0.0, 0.0, math.pi]))
+            for k in sorted(kets)
+        }
+        yield QuantumState(terms), (4, 6, 8)[t % 3]
+
+
+def test_search_outputs_golden():
+    digest = hashlib.sha256()
+    for g in _graphs():
+        for fn in (pg.tutte_check, pg.max_disjoint_pms, pg.enumerate_factorizations):
+            digest.update(repr(_outcome(fn, g)).encode())
+    for target, max_edges in _targets():
+        digest.update(repr(_outcome(pg.search_graph_for_state, target, max_edges=max_edges)).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256
