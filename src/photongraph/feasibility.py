@@ -5,7 +5,8 @@ subset W of part X sees at least |W| neighbors in Y; the checker returns an
 explicit matching (augmenting paths) or a violating subset harvested from
 the final alternating forest.  For general graphs the criterion is that
 deleting any vertex set U leaves at most |U| odd components; the checker
-returns a matching found by backtracking or a minimal violating subset.
+returns a matching found by backtracking, skipping vertex sets from which
+the search already failed, or a minimal violating subset.
 """
 
 from __future__ import annotations
@@ -133,41 +134,44 @@ def hall_check(
 
 def _find_pm_pairs(g: ExperimentGraph) -> list[tuple[str, str]] | None:
     """First perfect matching found by pairing the lowest unmatched vertex
-    with each unmatched neighbor in turn; None when the search exhausts."""
+    with each unmatched neighbor in turn; None when the search exhausts.
+
+    Whether the rest can be matched depends only on the set of vertices
+    matched so far, so each set from which the search failed is remembered
+    as a bitmask and not searched again.  Only failed subtrees are skipped,
+    so the first matching found is unchanged."""
     n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
     adjacent: list[set[int]] = [set() for _ in range(n)]
     for e in g.edges:
         adjacent[index[e.u]].add(index[e.v])
         adjacent[index[e.v]].add(index[e.u])
+    neighbors = [sorted(adj) for adj in adjacent]
 
-    matched = [False] * n
+    full = (1 << n) - 1
+    failed: set[int] = set()
     pairs: list[tuple[int, int]] = []
 
-    def rec() -> bool:
-        u = -1
-        for i in range(n):
-            if not matched[i]:
-                u = i
-                break
-        if u < 0:
+    def rec(matched: int) -> bool:
+        if matched == full:
             return True
-        matched[u] = True
-        for w in sorted(adjacent[u]):
-            if matched[w]:
+        if matched in failed:
+            return False
+        free = ~matched & full
+        u = (free & -free).bit_length() - 1
+        for w in neighbors[u]:
+            if matched >> w & 1:
                 continue
-            matched[w] = True
             pairs.append((u, w))
-            if rec():
+            if rec(matched | 1 << u | 1 << w):
                 return True
             pairs.pop()
-            matched[w] = False
-        matched[u] = False
+        failed.add(matched)
         return False
 
     if n % 2 != 0:
         return None
-    if rec():
+    if rec(0):
         return [(g.vertices[a], g.vertices[b]) for a, b in pairs]
     return None
 

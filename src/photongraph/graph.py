@@ -84,13 +84,6 @@ class Edge:
     def amplitude(self) -> complex:
         return cmath.rect(self.amp_mag, self.amp_phase_rad)
 
-    def other(self, vertex: str) -> str:
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise DomainError(f"vertex {vertex!r} is not an endpoint of edge {self.id!r}")
-
 
 class Biadjacency(NamedTuple):
     """Multiplicity matrix of a bipartite graph: ``entries[i][j]`` counts the

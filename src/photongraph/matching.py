@@ -193,9 +193,15 @@ def max_disjoint_pms(
 
     Exact backtracking over the enumerated matching list with bitset edge
     masks; among maximum witnesses the lexicographically first one is
-    returned."""
+    returned.  Every cover takes one edge end at a plain vertex and two at a
+    measured one, so no more than min over v of deg(v) // need(v) covers
+    are pairwise disjoint; the search stops once it holds that many."""
     pms = enumerate_pm(g, override_limits=override_limits)
     masks = _edge_masks(g, pms)
+    cap = min(
+        (g.degree(v) // (2 if v in g.measured else 1) for v in g.vertices),
+        default=len(masks),
+    )
 
     best: list[int] = []
 
@@ -204,7 +210,7 @@ def max_disjoint_pms(
         if len(chosen) > len(best):
             best = chosen.copy()
         for i in range(start, len(masks)):
-            if len(chosen) + (len(masks) - i) <= len(best):
+            if len(best) == cap or len(chosen) + (len(masks) - i) <= len(best):
                 break
             if masks[i] & used:
                 continue
@@ -283,8 +289,9 @@ def enumerate_factorizations(
     """All unordered partitions of the edge set into perfect matchings.
 
     Requires a regular graph (every 1-factorizable graph is).  Partitions are
-    built by always covering the lowest-id unused edge, so each one appears
-    exactly once, in deterministic order."""
+    built by always covering the lowest-id unused edge, branching only over
+    the matchings that contain it (indexed once per edge, in enumeration
+    order), so each one appears exactly once, in deterministic order."""
     degrees = [g.degree(v) for v in g.vertices]
     if degrees and len(set(degrees)) != 1:
         raise DomainError("graph is not regular; a 1-factorization cannot exist")
@@ -294,6 +301,7 @@ def enumerate_factorizations(
     pms = enumerate_pm(g, override_limits=override_limits)
     masks = _edge_masks(g, pms)
     full = (1 << len(g.edges)) - 1
+    holding = [[i for i, mask in enumerate(masks) if mask >> bit & 1] for bit in range(len(g.edges))]
 
     out: list[Factorization] = []
     chosen: list[int] = []
@@ -302,12 +310,11 @@ def enumerate_factorizations(
         if used == full:
             out.append(Factorization(tuple(pms[i] for i in chosen)))
             return
-        # branch on matchings containing the lowest uncovered edge
-        pos_bit = (~used & full) & -(~used & full)
-        for i, mask in enumerate(masks):
-            if mask & pos_bit and not mask & used:
+        free = ~used & full
+        for i in holding[(free & -free).bit_length() - 1]:
+            if not masks[i] & used:
                 chosen.append(i)
-                rec(used | mask)
+                rec(used | masks[i])
                 chosen.pop()
 
     if g.edges:

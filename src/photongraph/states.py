@@ -330,7 +330,14 @@ def search_graph_for_state(
     kept within the bounds, and every candidate is re-verified against the
     target.  Candidates are tried by increasing total cover count and, within
     one level, by canonical edge-set order, so the first hit is
-    deterministic."""
+    deterministic.
+
+    A partial edge set is dropped when even the fewest edges the remaining
+    kets still need cannot fit the budget: n/2 edges for one cover of a ket,
+    n/2 + 2 for two or more, summed over remaining kets that pairwise agree
+    in at most one slot (such kets share no edge), less the edges already
+    chosen that fit each ket.  The bound never drops a candidate within the
+    budget, so the first hit is unchanged."""
     canon = target.canonical()
     kets = sorted(canon.terms)
     if not kets:
@@ -363,6 +370,17 @@ def search_graph_for_state(
 
     per_ket_options = [[cover_edges(ket, p) for p in all_pairings] for ket in kets]
 
+    # Per start index, a greedy set of the remaining kets that pairwise
+    # agree in at most one slot.  Such kets share no edge label, so the
+    # edges they still need add up.
+    spread: list[list[int]] = []
+    for idx in range(len(kets)):
+        picked: list[int] = []
+        for k in range(idx, len(kets)):
+            if all(sum(x == y for x, y in zip(kets[k], kets[j])) <= 1 for j in picked):
+                picked.append(k)
+        spread.append(picked)
+
     def edge_budget_ok(union: frozenset) -> bool:
         if len(union) > max_edges:
             return False
@@ -385,11 +403,22 @@ def search_graph_for_state(
         if not counts or sum(counts) > cover_capacity:
             continue
 
+        # Fewest edges hosting c covers of one ket: one pairing has n/2
+        # edges, and two distinct pairings differ on even alternating cycles,
+        # so a second one adds at least two.
+        least = [n // 2 if c == 1 else n // 2 + 2 for c in counts]
         candidates: set[tuple[tuple[int, int, int, int], ...]] = set()
 
         def extend(idx: int, union: frozenset):
             if idx == len(kets):
                 candidates.add(tuple(sorted(union)))
+                return
+            still_needed = 0
+            for k in spread[idx]:
+                ket = kets[k]
+                have = sum(ket[i] == mi and ket[j] == mj for i, j, mi, mj in union)
+                still_needed += max(0, least[k] - have)
+            if len(union) + still_needed > max_edges:
                 return
             options = per_ket_options[idx]
             for combo in combinations(range(len(options)), counts[idx]):

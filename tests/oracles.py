@@ -29,6 +29,21 @@ def brute_force_covers(g: ExperimentGraph) -> list[tuple[str, ...]]:
     return out
 
 
+def max_disjoint_covers(g: ExperimentGraph) -> int:
+    """Size of the largest pairwise edge-disjoint set of brute-force covers,
+    found by growing every disjoint family one later cover at a time."""
+    covers = [set(cover) for cover in brute_force_covers(g)]
+
+    def grow(start: int, used: set) -> int:
+        best = 0
+        for k in range(start, len(covers)):
+            if not covers[k] & used:
+                best = max(best, 1 + grow(k + 1, used | covers[k]))
+        return best
+
+    return grow(0, set())
+
+
 def brute_force_state(g: ExperimentGraph) -> dict[tuple[int, ...], complex]:
     """Unpruned, unnormalized state: every brute-force cover whose measured
     vertices see one mode from both edges adds its amplitude product to the

@@ -82,6 +82,17 @@ def test_tutte_two_triangles_empty_witness():
     assert len(result.odd_components) == 2
 
 
+def test_tutte_k14_two_triangles_empty_witness():
+    names = vertex_names(20)
+    edges = [Edge(f"k{i}.{j}", names[i], names[j]) for i, j in combinations(range(14), 2)]
+    for t in (14, 17):
+        edges += [Edge(f"t{a}.{b}", names[a], names[b]) for a, b in combinations(range(t, t + 3), 2)]
+    result = pg.tutte_check(ExperimentGraph(names, edges))
+    assert isinstance(result, TutteWitness)
+    assert result.subset_u == ()
+    assert result.odd_components == (names[14:17], names[17:20])
+
+
 def test_tutte_scale_guard():
     with pytest.raises(pg.ScaleLimitError):
         pg.tutte_check(ExperimentGraph(vertex_names(22)))
@@ -119,7 +130,7 @@ def _witness_is_valid(g, witness) -> bool:
             for e in g.edges:
                 if v not in (e.u, e.v):
                     continue
-                w = e.other(v)
+                w = e.v if e.u == v else e.u
                 if w not in seen:
                     seen.add(w)
                     comp.add(w)

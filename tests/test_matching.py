@@ -6,12 +6,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph
 
 from fixt import cycle_graph, four_layer6, k4_ghz, k6_factored, layered6, path_graph
-from oracles import brute_force_covers
+from oracles import brute_force_covers, max_disjoint_covers
 
 
 def test_k4_has_three_matchings():
@@ -103,6 +105,46 @@ def test_max_disjoint_witness_properties():
     pms = set(pg.enumerate_pm(g))
     for pm in witness:
         assert pm in pms
+    for a, b in combinations(witness, 2):
+        assert not set(a) & set(b)
+
+
+def test_max_disjoint_k10():
+    d, witness = pg.max_disjoint_pms(pg.complete_graph(10), override_limits=True)
+    assert d == 9
+    assert len({e for pm in witness for e in pm}) == 45
+
+
+@st.composite
+def _multigraph(draw, names, min_edges, max_edges):
+    """Random multigraph on ``names`` with parallel edges."""
+    edges = []
+    for k in range(draw(st.integers(min_value=min_edges, max_value=max_edges))):
+        u, v = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        edges.append(Edge(f"{names[0]}{k}", u, v))
+    return ExperimentGraph(names, edges)
+
+
+@st.composite
+def disjointness_graphs(draw):
+    """Multigraphs on at most 6 vertices with 0, 1 or 2 measured vertices
+    (two halves merged at that many vertex pairs)."""
+    pairs = draw(st.integers(min_value=0, max_value=2))
+    if not pairs:
+        return draw(_multigraph(pg.vertex_names(draw(st.integers(min_value=2, max_value=6))), 0, 12))
+    left = draw(_multigraph(list("abcd"), 3, 9))
+    right = draw(_multigraph(list("wxyz")[: 2 + pairs], 3, 9))
+    return pg.merge_graphs(left, right, list(zip("dc", "wx"))[:pairs])
+
+
+@given(disjointness_graphs())
+@settings(max_examples=150, deadline=None)
+def test_max_disjoint_matches_oracle(g):
+    d, witness = pg.max_disjoint_pms(g)
+    assert d == max_disjoint_covers(g)
+    assert len(witness) == d
+    for cover in witness:
+        assert pg.is_coincidence_cover(g, cover)
     for a, b in combinations(witness, 2):
         assert not set(a) & set(b)
 

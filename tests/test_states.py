@@ -156,6 +156,28 @@ def test_search_three_dim_ghz_impossible_with_simple_graphs():
     assert pg.search_graph_for_state(target, max_parallel=1) is None
 
 
+def test_search_three_dim_ghz_six_photons_refused_within_eight_edges():
+    target = QuantumState({(0,) * 6: INV_SQRT3, (1,) * 6: INV_SQRT3, (2,) * 6: INV_SQRT3})
+    assert pg.search_graph_for_state(target, max_edges=8) is None
+
+
+@pytest.mark.parametrize(
+    "terms, max_edges",
+    [
+        # two covers of 0000 need a 4-cycle, plus one cover of 1111: 6 edges
+        ({(0, 0, 0, 0): 2 / math.sqrt(5), (1, 1, 1, 1): 1 / math.sqrt(5)}, 6),
+        # kets agreeing in two slots share the edge there: 3 edges, not 4
+        ({(0, 0, 0, 0): math.sqrt(0.5), (0, 0, 1, 1): math.sqrt(0.5)}, 3),
+    ],
+)
+def test_search_edge_bound_admits_the_tightest_graph(terms, max_edges):
+    target = QuantumState(terms)
+    found = pg.search_graph_for_state(target, max_edges=max_edges)
+    assert found is not None and len(found.edges) == max_edges
+    assert pg.verify_target(found, target)
+    assert pg.search_graph_for_state(target, max_edges=max_edges - 1) is None
+
+
 def test_search_finds_asymmetric_trigger_state():
     # one photon acts as a trigger while the rest carry a 4-dim ladder
     target = QuantumState({
