@@ -1,4 +1,4 @@
-"""Golden outputs of the combinatorial searches.
+"""Golden outputs of the combinatorial searches and the G(n, p) ensemble.
 
 The Tutte matching search, the disjoint-matching search, the factorization
 enumerator and the target-state search each return the first answer they
@@ -77,3 +77,21 @@ def test_search_outputs_golden():
     for target, max_edges in _targets():
         digest.update(repr(_outcome(pg.search_graph_for_state, target, max_edges=max_edges)).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+ENSEMBLE_GOLDEN_SHA256 = "23e3015a4bea17bea0ee86829c0a9f2f086e78dc7a9de51dab5fd1875d89dd81"
+
+
+def test_ensemble_outputs_golden():
+    """Histograms of ``ensemble_scan`` with one and two workers, and the
+    documents of seeded ``random_graph`` samples, byte for byte."""
+    digest = hashlib.sha256()
+    for workers in (1, 2):
+        for n in range(2, 13, 2):
+            reports = pg.ensemble_scan(n, [0.0, 0.3, 0.5, 0.7, 1.0], 40, 1000 + n, workers=workers)
+            digest.update(repr([(r.p, r.pm_exists_fraction, r.pm_count_histogram) for r in reports]).encode())
+    rng = random.Random(6)
+    for _ in range(100):
+        n, p, seed = rng.randrange(0, 13), rng.choice([0.0, 1.0, rng.random()]), rng.getrandbits(64)
+        digest.update(pg.serialize_graph(pg.random_graph(n, p, seed)).encode())
+    assert digest.hexdigest() == ENSEMBLE_GOLDEN_SHA256
