@@ -8,7 +8,7 @@ matchability witnesses, a setup compiler and random-network statistics.
 """
 
 from .compiler import SetupPlan, parse_plan, plan_to_graph, render_plan, serialize_plan, synthesize_setup
-from .counting import count_pm_via_matrix, hafnian, permanent
+from .counting import count_pm_via_matrix, hafnian, matrix_counts, permanent
 from .errors import (
     DomainError,
     FullyFrustratedError,
@@ -90,6 +90,7 @@ __all__ = [
     "hafnian",
     "permanent",
     "count_pm_via_matrix",
+    "matrix_counts",
     "state_from_graph",
     "is_ghz_like",
     "states_equal",

@@ -69,17 +69,10 @@ def _cmd_count(args) -> int:
     # matrix kernels count plain perfect matchings: defined for unmeasured
     # graphs of even order only
     if not g.measured and len(g.vertices) % 2 == 0:
-        by_hafnian = counting.hafnian(g.adjacency(), override_limits=args.limit_override)
+        by_hafnian, perm = counting.matrix_counts(g, override_limits=args.limit_override)
         payload["hafnian"] = by_hafnian
         lines.append(f"hafnian: {by_hafnian}")
-        try:
-            bi = g.biadjacency()
-        except PhotonGraphError:
-            bi = None
-        if bi is not None and len(bi.rows) == len(bi.cols):
-            perm = counting.permanent(
-                [list(r) for r in bi.entries], override_limits=args.limit_override
-            )
+        if perm is not None:
             payload["permanent"] = perm
             lines.append(f"permanent: {perm}")
     _emit(args, payload, lines)

@@ -6,6 +6,12 @@ matrix it counts perfect matchings.  The permanent does the same job for the
 biadjacency matrix of a bipartite graph.  Both are #P-hard, so the kernels
 are exact and refuse oversized inputs instead of approximating.
 
+The hafnian expands on the lowest live index and memoizes on the set of
+live indices; each row's nonzero later columns are kept as a bitmask, so
+the expansion never visits a zero entry.  It forms the same products in the
+same order as a walk over every index, so float and complex results do not
+depend on the sparsity.
+
 Integer matrices are computed in arbitrary-precision integer arithmetic
 (counts overflow 64 bits near order 20).  Complex and float inputs use
 double precision; results should be compared at a 1e-9 tolerance.
@@ -15,13 +21,14 @@ from __future__ import annotations
 
 import cmath
 
-from .errors import DomainError, ScaleLimitError
+from .errors import DomainError, NotBipartiteError, ScaleLimitError
 from .graph import ExperimentGraph
 
 __all__ = [
     "hafnian",
     "permanent",
     "count_pm_via_matrix",
+    "matrix_counts",
     "HAFNIAN_ORDER_LIMIT",
     "PERMANENT_ORDER_LIMIT",
 ]
@@ -53,43 +60,49 @@ def hafnian(matrix, *, override_limits: bool = False):
     """Sum over all perfect pairings {(i1,j1),...} of prod matrix[i][j].
 
     Recursive expansion on the first remaining index with memoization on the
-    set of live indices; zero entries are skipped, so sparse adjacency
-    matrices stay fast.  Requires an even order, exact symmetry and a zero
-    diagonal."""
+    set of live indices.  The validation pass records, per row, a bitmask of
+    the later columns holding a nonzero entry, and the expansion walks only
+    those, so sparse adjacency matrices stay fast.  Requires an even order,
+    exact symmetry and a zero diagonal."""
     n = _validate_square(matrix)
     if n % 2 != 0:
         raise DomainError(f"hafnian needs an even order, got {n}")
     if not override_limits and n > HAFNIAN_ORDER_LIMIT:
         raise ScaleLimitError(f"hafnian order {n} exceeds the guard (<= {HAFNIAN_ORDER_LIMIT})")
+    nonzero = [0] * n
     for i in range(n):
-        if matrix[i][i] != 0:
-            raise DomainError(f"hafnian needs a zero diagonal, entry ({i},{i}) is {matrix[i][i]!r}")
+        row = matrix[i]
+        if row[i] != 0:
+            raise DomainError(f"hafnian needs a zero diagonal, entry ({i},{i}) is {row[i]!r}")
+        mask = 0
         for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
+            entry = row[j]
+            if entry != matrix[j][i]:
                 raise DomainError(f"matrix is not symmetric at ({i},{j})")
+            if entry != 0:
+                mask |= 1 << j
+        nonzero[i] = mask
 
-    memo: dict[int, object] = {}
+    memo: dict[int, object] = {0: 1}
 
     def rec(mask: int):
-        if mask == 0:
-            return 1
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
         low = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << low)
+        rest = mask ^ (1 << low)
+        row = matrix[low]
         total = 0
-        sub = rest
+        sub = nonzero[low] & rest
         while sub:
-            j = (sub & -sub).bit_length() - 1
-            sub &= sub - 1
-            entry = matrix[low][j]
-            if entry != 0:
-                total += entry * rec(rest & ~(1 << j))
+            bit = sub & -sub
+            sub ^= bit
+            left = rest ^ bit
+            value = memo.get(left)
+            if value is None:
+                value = rec(left)
+            total += row[bit.bit_length() - 1] * value
         memo[mask] = total
         return total
 
-    return _finite(rec((1 << n) - 1))
+    return _finite(rec((1 << n) - 1) if n else 1)
 
 
 def permanent(matrix, *, override_limits: bool = False):
@@ -129,19 +142,28 @@ def permanent(matrix, *, override_limits: bool = False):
     return _finite(total)
 
 
-def count_pm_via_matrix(g: ExperimentGraph, *, override_limits: bool = False) -> int:
-    """Perfect-matching count through the matrix kernels: the hafnian of the
-    adjacency matrix always, cross-checked against the permanent of the
-    biadjacency matrix whenever the graph is bipartite with equal parts."""
+def matrix_counts(g: ExperimentGraph, *, override_limits: bool = False):
+    """Perfect-matching count of an unmeasured graph by both matrix kernels:
+    ``(hafnian of the adjacency matrix, permanent of the biadjacency
+    matrix)``, the permanent ``None`` unless the graph is bipartite with
+    equal parts."""
     if g.measured:
         raise DomainError("matrix counting covers plain perfect matchings only (no measured vertices)")
     count = hafnian(g.adjacency(), override_limits=override_limits)
     try:
         bi = g.biadjacency()
-    except DomainError:
-        return count
-    if len(bi.rows) == len(bi.cols):
-        perm = permanent([list(r) for r in bi.entries], override_limits=override_limits)
-        if perm != count:  # pragma: no cover - both kernels are exact
-            raise RuntimeError(f"kernel mismatch: hafnian={count} permanent={perm}")
+    except NotBipartiteError:
+        return count, None
+    if len(bi.rows) != len(bi.cols):
+        return count, None
+    return count, permanent([list(r) for r in bi.entries], override_limits=override_limits)
+
+
+def count_pm_via_matrix(g: ExperimentGraph, *, override_limits: bool = False) -> int:
+    """Perfect-matching count through the matrix kernels: the hafnian of the
+    adjacency matrix always, cross-checked against the permanent of the
+    biadjacency matrix whenever the graph is bipartite with equal parts."""
+    count, perm = matrix_counts(g, override_limits=override_limits)
+    if perm is not None and perm != count:  # pragma: no cover - both kernels are exact
+        raise RuntimeError(f"kernel mismatch: hafnian={count} permanent={perm}")
     return count

@@ -451,13 +451,17 @@ def random_graph(n: int, p: float, seed: int) -> ExperimentGraph:
     if n < 0:
         raise DomainError("vertex count must be nonnegative")
     names = vertex_names(n)
-    rng = random.Random(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append(Edge(id=f"e{len(edges)}", u=names[i], v=names[j]))
+    edges = [Edge(id=f"e{k}", u=names[i], v=names[j]) for k, (i, j) in enumerate(_gnp_pairs(n, p, seed))]
     return ExperimentGraph(names, edges)
+
+
+def _gnp_pairs(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """The vertex index pairs ``i < j`` of a G(n, p) sample, in row order:
+    one draw of ``random.Random(seed)`` per pair.  Every sampler of the
+    package goes through here, so a graph and a bare count see the same
+    edges for the same seed."""
+    rng = random.Random(seed).random
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng() < p]
 
 
 def complete_graph(n: int) -> ExperimentGraph:

@@ -5,6 +5,12 @@ each edge contributes one photon pair, so a 2n-fold coincidence picks up one
 factor of ``p`` per crystal in a perfect matching.  Ensemble statistics
 sample G(n, p) graphs with per-trial seeds derived by hashing (seed, trial),
 making runs reproducible independently of execution order or parallelism.
+
+A trial goes from its seed to its count without building a graph: the
+edge pairs come from the sampler behind :func:`~photongraph.graph.random_graph`
+(so a trial's graph is ``random_graph(n, p, trial_seed(seed, trial))``), are
+written into 0/1 adjacency rows and handed to the hafnian.  With several
+workers, one process pool per scan takes every (p, trial range) chunk.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 from .counting import hafnian
 from .errors import DomainError
-from .graph import ExperimentGraph, random_graph
+from .graph import ExperimentGraph, _gnp_pairs
 from .states import QuantumState, _cover_amplitude_sum, state_from_graph
 
 __all__ = [
@@ -46,10 +52,14 @@ def trial_seed(seed: int, trial: int) -> int:
 
 
 def _count_range(n: int, p: float, seed: int, start: int, stop: int) -> Counter:
+    """Histogram of perfect-matching counts over trials ``start..stop-1``,
+    straight from the sampled index pairs to 0/1 adjacency rows."""
     counts: Counter = Counter()
     for trial in range(start, stop):
-        g = random_graph(n, p, trial_seed(seed, trial))
-        counts[hafnian(g.adjacency())] += 1
+        rows = [[0] * n for _ in range(n)]
+        for i, j in _gnp_pairs(n, p, trial_seed(seed, trial)):
+            rows[i][j] = rows[j][i] = 1
+        counts[hafnian(rows)] += 1
     return counts
 
 
@@ -62,28 +72,32 @@ def ensemble_scan(
     workers: int = 1,
 ) -> list[EnsembleReport]:
     """Sample ``trials`` graphs per probability and report the fraction with
-    at least one perfect matching plus the full count histogram."""
+    at least one perfect matching plus the full count histogram.  Every
+    argument is checked before any sampling; with ``workers > 1`` one
+    process pool serves every probability."""
     if n % 2 != 0 or n < 2:
         raise DomainError(f"vertex count must be even and >= 2 for matching statistics, got {n}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    reports = []
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    p_values = list(p_values)
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"edge probability must lie in [0, 1], got {p}")
-        if workers > 1:
-            chunk = max(1, trials // (workers * 4))
-            bounds = list(range(0, trials, chunk)) + [trials]
-            counts: Counter = Counter()
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_count_range, n, p, seed, lo, hi)
-                    for lo, hi in zip(bounds, bounds[1:])
-                ]
-                for future in futures:
-                    counts.update(future.result())
-        else:
-            counts = _count_range(n, p, seed, 0, trials)
+    if workers > 1:
+        chunk = max(1, trials // (workers * 4))
+        bounds = list(range(0, trials, chunk)) + [trials]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                [pool.submit(_count_range, n, p, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+                for p in p_values
+            ]
+            histograms = [sum((future.result() for future in per_p), Counter()) for per_p in futures]
+    else:
+        histograms = [_count_range(n, p, seed, 0, trials) for p in p_values]
+    reports = []
+    for p, counts in zip(p_values, histograms):
         existing = sum(freq for count, freq in counts.items() if count > 0)
         reports.append(
             EnsembleReport(

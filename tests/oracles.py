@@ -78,6 +78,23 @@ def naive_permanent(matrix):
     return total
 
 
+def naive_hafnian(matrix):
+    """Hafnian as the plain sum over all perfect pairings of the indices:
+    the first index is paired with every other one in turn, with no memo
+    and no skipping of zero entries (order <= 10)."""
+    def pairing_sum(indices: tuple[int, ...]):
+        if not indices:
+            return 1
+        first = indices[0]
+        total = 0
+        for k in range(1, len(indices)):
+            rest = indices[1:k] + indices[k + 1:]
+            total += matrix[first][indices[k]] * pairing_sum(rest)
+        return total
+
+    return pairing_sum(tuple(range(len(matrix))))
+
+
 def pairing_masks(n: int, pair_pos: dict[tuple[int, int], int]) -> list[int]:
     """All perfect pairings of n vertices as bitmasks over pair slots."""
     def rec(avail: tuple[int, ...]):

@@ -205,6 +205,14 @@ def test_synth_text_renders_plan(capsys, k4_file):
     assert "layer 0:" in out
 
 
+def test_random_zero_threads_is_one_error_line(capsys):
+    code = main(["random", "--n", "6", "--p", "0.5", "--trials", "10", "--seed", "1", "--threads", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: domain-error:")
+
+
 def test_random_with_csv(capsys, tmp_path):
     csv_path = tmp_path / "report.csv"
     code, out = run(

@@ -6,12 +6,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph
 
 from fixt import double_edge
-from oracles import brute_force_covers, naive_permanent
+from oracles import brute_force_covers, naive_hafnian, naive_permanent
 
 
 def test_hafnian_single_pair():
@@ -86,6 +88,36 @@ def test_hafnian_complex_entries():
          [complex(math.cos(theta), math.sin(theta)), 0]]
     value = pg.hafnian(m)
     assert abs(value - complex(math.cos(theta), math.sin(theta))) < 1e-12
+
+
+@st.composite
+def symmetric_matrices(draw, entries):
+    """Symmetric matrices of even order <= 10 with a zero diagonal, the
+    upper triangle drawn from ``entries``."""
+    n = 2 * draw(st.integers(min_value=0, max_value=5))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(entries)
+    return m
+
+
+@given(symmetric_matrices(st.integers(min_value=0, max_value=3)))
+@settings(max_examples=120, deadline=None)
+def test_hafnian_matches_oracle_on_multigraphs(m):
+    assert pg.hafnian(m) == naive_hafnian(m)
+
+
+_parts = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@given(symmetric_matrices(st.one_of(st.just(0j), st.builds(complex, _parts, _parts))))
+@settings(max_examples=120, deadline=None)
+def test_hafnian_matches_oracle_on_sparse_complex_matrices(m):
+    # relative to the summed term magnitudes, so a cancelling sum is still
+    # held to 1e-9 of the terms that cancel
+    scale = naive_hafnian([[abs(x) for x in row] for row in m])
+    assert abs(pg.hafnian(m) - naive_hafnian(m)) <= 1e-9 * scale
 
 
 def test_permanent_identity():
@@ -187,3 +219,12 @@ def test_count_via_matrix_rejects_measured():
 def test_count_via_matrix_propagates_odd_order():
     with pytest.raises(pg.DomainError):
         pg.count_pm_via_matrix(ExperimentGraph(["a", "b", "c"], [Edge("x", "a", "b")]))
+
+
+def test_matrix_counts_reports_the_permanent_only_for_balanced_bipartite_graphs():
+    from fixt import bipartite_ten
+
+    assert pg.matrix_counts(bipartite_ten()) == (8, 8)
+    assert pg.matrix_counts(pg.complete_graph(4)) == (3, None)
+    star = ExperimentGraph(pg.vertex_names(4), [Edge(f"x{k}", "a", v) for k, v in enumerate("bcd")])
+    assert pg.matrix_counts(star) == (0, None)

@@ -65,9 +65,10 @@ def test_fraction_monotone_in_p():
 
 
 def test_parallel_workers_match_serial():
-    serial = pg.ensemble_scan(6, [0.5], 80, 12)
-    parallel = pg.ensemble_scan(6, [0.5], 80, 12, workers=2)
-    assert serial == parallel
+    for seed in (12, 13, 14):
+        serial = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed)
+        parallel = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed, workers=2)
+        assert serial == parallel
 
 
 def test_trial_seed_mixing():
@@ -83,6 +84,25 @@ def test_ensemble_domain_errors():
         pg.ensemble_scan(6, [0.5], 0, 0)
     with pytest.raises(pg.DomainError):
         pg.ensemble_scan(6, [1.5], 10, 0)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_ensemble_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(pg.DomainError):
+        pg.ensemble_scan(6, [0.5], 10, 0, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_checks_every_p_before_sampling(monkeypatch, workers):
+    from photongraph import networks
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling or a pool started before every p was checked")
+
+    monkeypatch.setattr(networks, "_count_range", no_work)
+    monkeypatch.setattr(networks, "ProcessPoolExecutor", no_work)
+    with pytest.raises(pg.DomainError):
+        pg.ensemble_scan(6, [0.2, 0.5, 1.5], 10, 0, workers=workers)
 
 
 def test_single_edge_amplitude_is_p():
