@@ -1,4 +1,5 @@
-"""Golden outputs of the combinatorial searches and the G(n, p) ensemble.
+"""Golden outputs of the combinatorial searches, the GHZ-dimension scan and
+the G(n, p) ensemble.
 
 The Tutte matching search, the disjoint-matching search, the factorization
 enumerator and the target-state search each return the first answer they
@@ -95,3 +96,16 @@ def test_ensemble_outputs_golden():
         n, p, seed = rng.randrange(0, 13), rng.choice([0.0, 1.0, rng.random()]), rng.getrandbits(64)
         digest.update(pg.serialize_graph(pg.random_graph(n, p, seed)).encode())
     assert digest.hexdigest() == ENSEMBLE_GOLDEN_SHA256
+
+
+GHZ_SCAN_GOLDEN_SHA256 = "20053624cc1410594283ac367ea6d60998e96a821e9160a9b50e8864f3e9446a"
+
+
+def test_ghz_scan_outputs_golden():
+    """The dimension and the witness document of ``scan_ghz_dimension`` for
+    n = 2, 4, 6: the witness is the lowest-mask subgraph among the maxima."""
+    digest = hashlib.sha256()
+    for n in (2, 4, 6):
+        d, witness = pg.scan_ghz_dimension(n)
+        digest.update(repr((n, d, pg.serialize_graph(witness))).encode())
+    assert digest.hexdigest() == GHZ_SCAN_GOLDEN_SHA256
