@@ -378,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "structured"), default="text",
         help="output format (structured = JSON)",
     )
-    common.add_argument(
+    # the subcommands whose kernels have a scale guard
+    guarded = argparse.ArgumentParser(add_help=False, parents=[common])
+    guarded.add_argument(
         "--limit-override", action="store_true", dest="limit_override",
         help="bypass the scale guards of the exact algorithms",
     )
@@ -389,20 +391,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("matchings", parents=[common], help="enumerate perfect matchings")
+    p = sub.add_parser("matchings", parents=[guarded], help="enumerate perfect matchings")
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_matchings)
 
-    p = sub.add_parser("count", parents=[common], help="count matchings by enumeration and matrix kernels")
+    p = sub.add_parser("count", parents=[guarded], help="count matchings by enumeration and matrix kernels")
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("state", parents=[common], help="post-selected state of a graph")
+    p = sub.add_parser("state", parents=[guarded], help="post-selected state of a graph")
     p.add_argument("graph")
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(handler=_cmd_state)
 
-    p = sub.add_parser("verify", parents=[common], help="compare a graph's state against a target")
+    p = sub.add_parser("verify", parents=[guarded], help="compare a graph's state against a target")
     p.add_argument("graph")
     p.add_argument("state")
     p.set_defaults(handler=_cmd_verify)
@@ -414,21 +416,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-parallel", type=int, default=4)
     p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("frustrate", parents=[common], help="sweep one edge's phase, report intensity")
+    p = sub.add_parser("frustrate", parents=[guarded], help="sweep one edge's phase, report intensity")
     p.add_argument("graph")
     p.add_argument("edge")
     p.add_argument("--phases", required=True, help="comma-separated radians")
     p.set_defaults(handler=_cmd_frustrate)
 
-    p = sub.add_parser("ghz-max", parents=[common], help="largest set of pairwise disjoint matchings")
+    p = sub.add_parser("ghz-max", parents=[guarded], help="largest set of pairwise disjoint matchings")
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_ghz_max)
 
-    p = sub.add_parser("factorize", parents=[common], help="enumerate 1-factorizations")
+    p = sub.add_parser("factorize", parents=[guarded], help="enumerate 1-factorizations")
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_factorize)
 
-    p = sub.add_parser("layers", parents=[common], help="split matchings into layer and maverick terms")
+    p = sub.add_parser("layers", parents=[guarded], help="split matchings into layer and maverick terms")
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_layers)
 
@@ -441,11 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("hafnian", parents=[common], help="hafnian of a matrix or graph adjacency")
+    p = sub.add_parser("hafnian", parents=[guarded], help="hafnian of a matrix or graph adjacency")
     p.add_argument("file")
     p.set_defaults(handler=_cmd_hafnian)
 
-    p = sub.add_parser("permanent", parents=[common], help="permanent of a matrix or graph biadjacency")
+    p = sub.add_parser("permanent", parents=[guarded], help="permanent of a matrix or graph biadjacency")
     p.add_argument("file")
     p.set_defaults(handler=_cmd_permanent)
 

@@ -132,20 +132,16 @@ def hall_check(
     return HallWitness(subset_w, neighborhood)
 
 
-def _find_pm_pairs(g: ExperimentGraph) -> list[tuple[str, str]] | None:
-    """First perfect matching found by pairing the lowest unmatched vertex
-    with each unmatched neighbor in turn; None when the search exhausts.
+def _find_pm_pairs(adjacent: list[set[int]]) -> list[tuple[int, int]] | None:
+    """First perfect matching, as vertex index pairs, found by pairing the
+    lowest unmatched vertex with each unmatched neighbor in turn; None when
+    the search exhausts.
 
     Whether the rest can be matched depends only on the set of vertices
     matched so far, so each set from which the search failed is remembered
     as a bitmask and not searched again.  Only failed subtrees are skipped,
     so the first matching found is unchanged."""
-    n = len(g.vertices)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    adjacent: list[set[int]] = [set() for _ in range(n)]
-    for e in g.edges:
-        adjacent[index[e.u]].add(index[e.v])
-        adjacent[index[e.v]].add(index[e.u])
+    n = len(adjacent)
     neighbors = [sorted(adj) for adj in adjacent]
 
     full = (1 << n) - 1
@@ -169,11 +165,9 @@ def _find_pm_pairs(g: ExperimentGraph) -> list[tuple[str, str]] | None:
         failed.add(matched)
         return False
 
-    if n % 2 != 0:
+    if n % 2 != 0 or not rec(0):
         return None
-    if rec(0):
-        return [(g.vertices[a], g.vertices[b]) for a, b in pairs]
-    return None
+    return pairs
 
 
 def _components(n: int, adjacent: list[set[int]], removed: set[int]) -> list[list[int]]:
@@ -209,15 +203,15 @@ def tutte_check(g: ExperimentGraph) -> Matching | TutteWitness:
             f"witness search on {n} vertices exceeds the guard (<= {TUTTE_VERTEX_LIMIT})"
         )
 
-    pairs = _find_pm_pairs(g)
-    if pairs is not None:
-        return _matching_edge_ids(g, pairs)
-
-    index = {v: i for i, v in enumerate(g.vertices)}
     adjacent: list[set[int]] = [set() for _ in range(n)]
     for e in g.edges:
-        adjacent[index[e.u]].add(index[e.v])
-        adjacent[index[e.v]].add(index[e.u])
+        i, j = g.index(e.u), g.index(e.v)
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+
+    pairs = _find_pm_pairs(adjacent)
+    if pairs is not None:
+        return _matching_edge_ids(g, [(g.vertices[a], g.vertices[b]) for a, b in pairs])
 
     for size in range(0, n + 1):
         for subset in combinations(range(n), size):

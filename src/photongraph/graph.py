@@ -450,9 +450,7 @@ def random_graph(n: int, p: float, seed: int) -> ExperimentGraph:
         raise DomainError(f"edge probability must lie in [0, 1], got {p}")
     if n < 0:
         raise DomainError("vertex count must be nonnegative")
-    names = vertex_names(n)
-    edges = [Edge(id=f"e{k}", u=names[i], v=names[j]) for k, (i, j) in enumerate(_gnp_pairs(n, p, seed))]
-    return ExperimentGraph(names, edges)
+    return _graph_from_pairs(n, _gnp_pairs(n, p, seed))
 
 
 def _gnp_pairs(n: int, p: float, seed: int) -> list[tuple[int, int]]:
@@ -466,12 +464,14 @@ def _gnp_pairs(n: int, p: float, seed: int) -> list[tuple[int, int]]:
 
 def complete_graph(n: int) -> ExperimentGraph:
     """K_n with unit amplitudes, modes (0, 0) and generated edge ids."""
+    return _graph_from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _graph_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> ExperimentGraph:
+    """The graph on ``vertex_names(n)`` with one unit edge ``e<k>`` per vertex
+    index pair, numbered in the given order."""
     names = vertex_names(n)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append(Edge(id=f"e{len(edges)}", u=names[i], v=names[j]))
-    return ExperimentGraph(names, edges)
+    return ExperimentGraph(names, [Edge(f"e{k}", names[i], names[j]) for k, (i, j) in enumerate(pairs)])
 
 
 def to_dot(g: ExperimentGraph) -> str:

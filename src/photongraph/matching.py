@@ -7,8 +7,9 @@ graphs with measured vertices are called coincidence covers.
 
 Counting perfect matchings is #P-complete, so every operation here is an
 exact exponential algorithm behind an explicit scale guard.  The default
-guards (24 vertices / 60 edges for enumeration, 10 vertices for exhaustive
-subgraph scans) can be overridden by the caller.
+guards (24 vertices / 60 edges for enumeration, 10 vertices for the pruned
+search over families of disjoint pairings behind the GHZ-dimension scan)
+can be overridden by the caller.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError, ScaleLimitError
-from .graph import Edge, ExperimentGraph, vertex_names
+from .graph import Edge, ExperimentGraph, _graph_from_pairs
 
 __all__ = [
     "Matching",
@@ -232,55 +233,72 @@ def ghz_dimension_bound(n: int) -> int:
 
 def scan_ghz_dimension(
     n: int, *, override_limits: bool = False
-) -> tuple[int, ExperimentGraph | None]:
-    """Exhaustively scan every simple graph on ``n`` vertices and return the
-    maximum number of perfect matchings over graphs whose matchings are all
-    pairwise edge-disjoint (the graphs whose state is GHZ-shaped), together
-    with one witness graph.
+) -> tuple[int, ExperimentGraph]:
+    """Largest number d of perfect matchings of a simple graph on ``n``
+    vertices whose matchings are all pairwise edge-disjoint (the graphs
+    whose state is GHZ-shaped), with one witness graph: among the maxima,
+    the one with the smallest edge mask over the row-ordered pairs of K_n.
 
-    Graphs with overlapping matchings carry maverick terms and are skipped:
-    only the all-disjoint ones produce GHZ states, so this is the brute-force
-    check of the dimension bound."""
+    Such a graph's matchings are a family of pairwise disjoint pairings of
+    K_n whose union holds no other pairing, so the search grows those
+    families as bitmasks.  A family whose union holds an extra (maverick)
+    pairing is dropped with all its extensions: the maverick shares an edge
+    with a member, so it can never join, and unions only grow.  The first
+    pass fixes the first pairing, which a relabelling of the vertices
+    always allows, to find d; the second finds the smallest union of d
+    pairings, dropping any family whose union already exceeds the best."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n % 2 != 0:
         raise DomainError(f"vertex count must be an even integer >= 2, got {n!r}")
     if not override_limits and n > SCAN_VERTEX_LIMIT:
         raise ScaleLimitError(
-            f"subgraph scan on {n} vertices exceeds the guard (n<={SCAN_VERTEX_LIMIT})"
+            f"GHZ-dimension scan on {n} vertices exceeds the guard (n<={SCAN_VERTEX_LIMIT})"
         )
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pair_pos = {pq: k for k, pq in enumerate(pairs)}
+    pms = sorted(sum(1 << pair_pos[pq] for pq in pairing) for pairing in pairings(tuple(range(n))))
+    # Families and pairing sets are bitsets over the indices into ``pms``.
+    every = (1 << len(pms)) - 1
+    holding = [sum(1 << i for i, m in enumerate(pms) if m >> k & 1) for k in range(len(pairs))]
 
-    pm_masks = [
-        sum(1 << pair_pos[pq] for pq in pairing) for pairing in pairings(tuple(range(n)))
-    ]
-    best_d = 0
-    best_mask = None
-    for sub in range(1 << len(pairs)):
-        present = [m for m in pm_masks if m & sub == m]
-        if len(present) <= best_d:
-            continue
-        disjoint = True
-        for i in range(len(present)):
-            for j in range(i + 1, len(present)):
-                if present[i] & present[j]:
-                    disjoint = False
-                    break
-            if not disjoint:
-                break
-        if disjoint:
-            best_d = len(present)
-            best_mask = sub
+    def touching(mask: int) -> int:
+        """The pairings that share a pair with ``mask``."""
+        out = 0
+        for k, h in enumerate(holding):
+            if mask >> k & 1:
+                out |= h
+        return out
 
-    witness = None
-    if best_mask is not None:
-        names = vertex_names(n)
-        edges = []
-        for k, (i, j) in enumerate(pairs):
-            if best_mask >> k & 1:
-                edges.append(Edge(id=f"e{len(edges)}", u=names[i], v=names[j]))
-        witness = ExperimentGraph(names, edges)
-    return best_d, witness
+    clash = [touching(m) for m in pms]
+    all_pairs = (1 << len(pairs)) - 1
+    best_mask = all_pairs + 1  # above every union until the second pass
+
+    def extensions(union: int, size: int, later: int):
+        """Each family grown by one pairing of ``later`` whose union stays
+        below ``best_mask`` and holds only its members, with the pairings
+        that may still join it."""
+        while later:
+            low = later & -later
+            later ^= low
+            i = low.bit_length() - 1
+            grown = union | pms[i]
+            if grown < best_mask and (every & ~touching(all_pairs & ~grown)).bit_count() == size + 1:
+                yield grown, later & ~clash[i]
+
+    def largest(union: int, size: int, later: int) -> int:
+        return max((largest(g, size + 1, rest) for g, rest in extensions(union, size, later)), default=size)
+
+    def smallest(union: int, size: int, later: int):
+        nonlocal best_mask
+        if size == d:
+            best_mask = union
+            return
+        for grown, rest in extensions(union, size, later):
+            smallest(grown, size + 1, rest)
+
+    d = largest(pms[0], 1, every & ~clash[0])
+    smallest(0, 0, every)
+    return d, _graph_from_pairs(n, [pq for k, pq in enumerate(pairs) if best_mask >> k & 1])
 
 
 def enumerate_factorizations(

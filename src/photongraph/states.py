@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import DomainError, FullyFrustratedError, GraphParseError
-from .graph import Edge, ExperimentGraph, vertex_names
+from .graph import Edge, ExperimentGraph, _expect, _float_value, _mode_value, vertex_names
 from .matching import _check_scale, pairings
 
 __all__ = [
@@ -461,32 +461,22 @@ def parse_state(text: str) -> QuantumState:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}", location="<state>") from None
-    if not isinstance(doc, list):
-        raise GraphParseError("state document must be a list of terms", location="<state>")
+    _expect(isinstance(doc, list), "state document must be a list of terms", "<state>")
     terms: dict[Ket, complex] = {}
     length = None
     for i, rec in enumerate(doc):
         loc = f"terms[{i}]"
-        if not isinstance(rec, dict) or "modes" not in rec:
-            raise GraphParseError("term must be an object with a modes list", location=loc)
-        modes = rec["modes"]
-        if not isinstance(modes, list) or any(
-            not isinstance(m, int) or isinstance(m, bool) or m < 0 for m in modes
-        ):
-            raise GraphParseError("modes must be a list of nonnegative integers", location=f"{loc}.modes")
-        ket = tuple(modes)
+        _expect(isinstance(rec, dict) and "modes" in rec, "term must be an object with a modes list", loc)
+        modes_loc = f"{loc}.modes"
+        _expect(isinstance(rec["modes"], list), "modes must be a list of nonnegative integers", modes_loc)
+        ket = tuple(_mode_value(m, modes_loc) for m in rec["modes"])
         if length is None:
             length = len(ket)
-        elif len(ket) != length:
-            raise GraphParseError("all terms must have the same ket length", location=f"{loc}.modes")
+        _expect(len(ket) == length, "all terms must have the same ket length", modes_loc)
         if ket in terms:
-            raise GraphParseError(f"duplicate ket {list(ket)}", location=f"{loc}.modes")
-        mag = rec.get("amp_mag", 1.0)
-        phase = rec.get("amp_phase_rad", 0.0)
-        for key, value in (("amp_mag", mag), ("amp_phase_rad", phase)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(float(value)):
-                raise GraphParseError(f"{key} must be a finite number", location=f"{loc}.{key}")
-        if mag < 0:
-            raise GraphParseError("amp_mag must be >= 0", location=f"{loc}.amp_mag")
-        terms[ket] = cmath.rect(float(mag), float(phase))
+            raise GraphParseError(f"duplicate ket {list(ket)}", location=modes_loc)
+        mag = _float_value(rec.get("amp_mag", 1.0), f"{loc}.amp_mag")
+        phase = _float_value(rec.get("amp_phase_rad", 0.0), f"{loc}.amp_phase_rad")
+        _expect(mag >= 0, "amp_mag must be >= 0", f"{loc}.amp_mag")
+        terms[ket] = cmath.rect(mag, phase)
     return QuantumState(terms)

@@ -109,3 +109,25 @@ def pairing_masks(n: int, pair_pos: dict[tuple[int, int], int]) -> list[int]:
                 yield bit | mask
 
     return list(rec(tuple(range(n))))
+
+
+def naive_ghz_family(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """Largest family of pairwise disjoint pairings of K_n whose union holds
+    no other pairing, and the vertex pairs of the smallest union mask among
+    the largest ones.  Every disjoint family is grown one later pairing at a
+    time and checked on its own: no pruning and no fixed first pairing."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    masks = pairing_masks(n, {pq: k for k, pq in enumerate(pairs)})
+    best_size, best_union = 0, 0
+
+    def grow(start: int, union: int, size: int):
+        nonlocal best_size, best_union
+        inside = sum(1 for mask in masks if mask & union == mask)
+        if inside == size and (size, -union) > (best_size, -best_union):
+            best_size, best_union = size, union
+        for k in range(start, len(masks)):
+            if not masks[k] & union:
+                grow(k + 1, union | masks[k], size + 1)
+
+    grow(0, 0, 0)
+    return best_size, [pq for k, pq in enumerate(pairs) if best_union >> k & 1]

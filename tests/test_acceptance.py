@@ -82,7 +82,7 @@ def test_criterion_05_ghz_theorem_scan():
     pms = pg.enumerate_pm(witness4)
     ok = ok and len(pms) == 3
     ok = ok and all(not set(a) & set(b) for a, b in combinations(pms, 2))
-    _finish(5, "exhaustive 2^15 subgraph scan: GHZ dimension 2 for n=6, 3 for n=4", ok, t0, 300.0)
+    _finish(5, "pruned pairing-family scan: GHZ dimension 2 for n=6, 3 for n=4", ok, t0, 300.0)
 
 
 def test_criterion_06_matrix_oracle_equivalence():

@@ -8,7 +8,7 @@ import math
 import pytest
 
 import photongraph as pg
-from photongraph.cli import main
+from photongraph.cli import build_parser, main
 
 from fixt import double_edge, hall_fixture, k4_ghz, layered6, spider, w_state_target
 
@@ -250,6 +250,37 @@ def test_exit_code_scale_limit(capsys, tmp_path):
     assert code == 3
     assert err.startswith("error: scale-limit:")
     assert main(["count", str(big), "--limit-override"]) == 0
+
+
+def test_limit_override_is_a_usage_error_where_nothing_is_guarded(capsys, k4_file):
+    assert main(["check", "tutte", k4_file]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "tutte", k4_file, "--limit-override"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "target.state"],
+    ["merge", "a.graph", "b.graph", "--pairs", "a:a"],
+    ["synth", "a.graph"],
+    ["unsynth", "a.plan"],
+    ["random", "--n", "4", "--p", "0.5", "--trials", "2", "--seed", "1"],
+    ["dot", "a.graph"],
+])
+def test_limit_override_only_on_guarded_subcommands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--limit-override"])
+    assert exc.value.code == 2
+
+
+def test_limit_override_on_every_guarded_subcommand():
+    parser = build_parser()
+    for argv in (
+        ["matchings", "g"], ["count", "g"], ["state", "g"], ["verify", "g", "s"],
+        ["frustrate", "g", "e", "--phases", "0"], ["ghz-max", "g"], ["factorize", "g"],
+        ["layers", "g"], ["hafnian", "m"], ["permanent", "m"],
+    ):
+        assert parser.parse_args(argv + ["--limit-override"]).limit_override
 
 
 def test_exit_code_usage_error(capsys):

@@ -13,7 +13,7 @@ import photongraph as pg
 from photongraph import Edge, ExperimentGraph
 
 from fixt import cycle_graph, four_layer6, k4_ghz, k6_factored, layered6, path_graph
-from oracles import brute_force_covers, max_disjoint_covers
+from oracles import brute_force_covers, max_disjoint_covers, naive_ghz_family
 
 
 def test_k4_has_three_matchings():
@@ -167,6 +167,23 @@ def test_scan_ghz_dimension_small():
     assert d4 == 3
     pms = pg.enumerate_pm(witness4)
     assert len(pms) == 3
+    for a, b in combinations(pms, 2):
+        assert not set(a) & set(b)
+
+
+@pytest.mark.parametrize("n,expected_d", [(2, 1), (4, 3), (6, 2), (8, 2)])
+def test_scan_ghz_dimension_matches_naive_family_search(n, expected_d):
+    d, witness = pg.scan_ghz_dimension(n)
+    pairs = sorted((witness.index(e.u), witness.index(e.v)) for e in witness.edges)
+    assert (d, pairs) == naive_ghz_family(n)
+    assert d == expected_d
+
+
+def test_scan_ghz_dimension_reaches_the_bound_at_10():
+    d, witness = pg.scan_ghz_dimension(10)
+    assert d == pg.ghz_dimension_bound(10)
+    pms = pg.enumerate_pm(witness)
+    assert len(pms) == d
     for a, b in combinations(pms, 2):
         assert not set(a) & set(b)
 
