@@ -109,3 +109,31 @@ def test_ghz_scan_outputs_golden():
         d, witness = pg.scan_ghz_dimension(n)
         digest.update(repr((n, d, pg.serialize_graph(witness))).encode())
     assert digest.hexdigest() == GHZ_SCAN_GOLDEN_SHA256
+
+
+UNIT_TARGET_GOLDEN_SHA256 = "3ca1443ca5997e4295f3ac029b32a432ce58e47398c79e66e4bae3803932b739"
+
+
+def _unit(state: QuantumState) -> QuantumState:
+    norm = math.sqrt(sum(abs(a) ** 2 for a in state.terms.values()))
+    return QuantumState({k: a / norm for k, a in state.terms.items()})
+
+
+def test_unit_target_outputs_golden():
+    """``verify_target`` and ``search_graph_for_state`` on targets of unit
+    norm: each graph against its own state and its predecessor's, read back
+    from a state document, and against the all-zero target; and the search
+    over the search-golden targets scaled to unit norm."""
+    digest = hashlib.sha256()
+    previous = QuantumState({})
+    for g in _graphs():
+        try:
+            own = pg.parse_state(pg.serialize_state(pg.state_from_graph(g, normalize=True)))
+        except pg.FullyFrustratedError:
+            own = QuantumState({})
+        for target in (own, previous, QuantumState({})):
+            digest.update(repr(_outcome(pg.verify_target, g, target)).encode())
+        previous = own
+    for target, max_edges in _targets():
+        digest.update(repr(_outcome(pg.search_graph_for_state, _unit(target), max_edges=max_edges)).encode())
+    assert digest.hexdigest() == UNIT_TARGET_GOLDEN_SHA256
