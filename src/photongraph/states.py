@@ -258,11 +258,32 @@ def is_ghz_like(state: QuantumState) -> bool:
     return True
 
 
+def _unit_target(target: QuantumState) -> QuantumState:
+    """``target`` scaled to unit norm: a target names a ray, so a state
+    document written without ``--normalize`` means the same state.  A
+    target of unit norm (within ``AMP_TOL``) comes back as it is, and so
+    does an all-zero one (no amplitude above ``AMP_TOL``)."""
+    if not target.pruned().terms:
+        return target
+    # Dividing by the largest magnitude first keeps the norm finite.
+    peak = max(map(abs, target.terms.values()))
+    scaled = {k: a / peak for k, a in target.terms.items()}
+    norm = math.hypot(*map(abs, scaled.values()))
+    if abs(peak * norm - 1) <= AMP_TOL:
+        return target
+    return QuantumState({k: a / norm for k, a in scaled.items()}, normalized=True)
+
+
 def verify_target(
     g: ExperimentGraph, target: QuantumState, *, override_limits: bool = False
 ) -> bool:
     """Does the normalized state of ``g`` equal ``target`` up to a global
-    phase (1e-9 per amplitude)?"""
+    phase (1e-9 per amplitude)?
+
+    The target is scaled to unit norm first, so any multiple of a state
+    names that state.  An all-zero target (no amplitude above ``AMP_TOL``)
+    matches only a fully frustrated graph, whose covers all cancel."""
+    target = _unit_target(target)
     try:
         state = state_from_graph(g, normalize=True, override_limits=override_limits)
     except FullyFrustratedError:
@@ -319,7 +340,9 @@ def search_graph_for_state(
 ) -> ExperimentGraph | None:
     """Exhaustive search for a unit-amplitude multigraph whose normalized
     state equals ``target``; returns None when the bounded space is
-    exhausted.
+    exhausted.  The target is scaled to unit norm first, so any multiple of
+    a state names that state; an all-zero target (no amplitude above
+    ``AMP_TOL``) names no graph's state and gives None.
 
     Search space: graphs with at most one edge per (vertex pair, mode pair),
     so parallel edges differ in their mode labels.  Since edge amplitudes are
@@ -338,6 +361,7 @@ def search_graph_for_state(
     in at most one slot (such kets share no edge), less the edges already
     chosen that fit each ket.  The bound never drops a candidate within the
     budget, so the first hit is unchanged."""
+    target = _unit_target(target)
     canon = target.canonical()
     kets = sorted(canon.terms)
     if not kets:

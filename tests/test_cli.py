@@ -8,6 +8,7 @@ import math
 import pytest
 
 import photongraph as pg
+from photongraph import Edge, ExperimentGraph
 from photongraph.cli import build_parser, main
 
 from fixt import double_edge, hall_fixture, k4_ghz, layered6, spider, w_state_target
@@ -97,6 +98,25 @@ def test_search_cli_finds_w_state(capsys, tmp_path):
     assert code == 0
     found = pg.parse_graph(out)
     assert pg.verify_target(found, w_state_target())
+
+
+def test_unnormalized_state_document_verifies_and_is_found(capsys, tmp_path):
+    """`state` without --normalize writes amp_mag 1.0 per ket; `verify` and
+    `search` read that document as the same ray as the normalized one."""
+    g = ExperimentGraph(
+        list("abcd"),
+        [Edge("ab", "a", "b"), Edge("cd", "c", "d"), Edge("ac", "a", "c", 1, 1), Edge("bd", "b", "d", 1, 1)],
+    )
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(pg.serialize_graph(g), encoding="utf-8")
+    code, out = run(capsys, "state", str(graph_path), "--format", "structured")
+    assert code == 0 and [t["amp_mag"] for t in json.loads(out)] == [1.0, 1.0]
+    state_path = tmp_path / "g.state"
+    state_path.write_text(out, encoding="utf-8")
+    assert run(capsys, "verify", str(graph_path), str(state_path)) == (0, "MATCH\n")
+    code, out = run(capsys, "search", str(state_path), "--format", "structured")
+    assert code == 0
+    assert pg.verify_target(pg.parse_graph(out), pg.state_from_graph(g, normalize=True))
 
 
 def test_frustrate(capsys, tmp_path):

@@ -18,7 +18,7 @@ import random
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph, QuantumState, vertex_names
 
-GOLDEN_SHA256 = "6b144708a5bc43cb3184d9df21f13a8a7042ed7b258addbe67944f5f5165e90a"
+GOLDEN_SHA256 = "ec7d4f35c7a1812a80a89735628207a35059985f30a9445892721800ee9d7134"
 
 
 def _outcome(fn, *args, **kwargs):

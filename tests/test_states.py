@@ -96,6 +96,39 @@ def test_verify_target_global_phase_invariance():
         assert pg.verify_target(k4_ghz(), rotated)
 
 
+def test_verify_target_takes_the_target_as_a_ray():
+    ghz = pg.state_from_graph(k4_ghz(), normalize=True)
+    eq1 = pg.state_from_graph(layered6(), normalize=True)
+    for scale in (1e-6, 0.5, 3.0, 1e6, -2j):
+        for g in (k4_ghz(), layered6()):
+            for target in (ghz, eq1):
+                scaled = QuantumState({k: a * scale for k, a in target.terms.items()})
+                assert pg.verify_target(g, scaled) == pg.verify_target(g, target)
+    # the unnormalized state of the graph itself, as `state` writes it
+    assert pg.verify_target(layered6(), pg.state_from_graph(layered6()))
+
+
+def test_unit_target_is_left_alone():
+    ghz = pg.state_from_graph(k4_ghz(), normalize=True)
+    assert pg.states._unit_target(ghz) is ghz
+    empty = QuantumState({(0, 0): 0.0, (1, 1): pg.states.AMP_TOL / 2})
+    assert pg.states._unit_target(empty) is empty
+
+
+def test_all_zero_target_matches_only_a_fully_frustrated_graph():
+    for zero in (QuantumState({}), QuantumState({(0, 0): 0.0})):
+        assert pg.verify_target(double_edge(math.pi), zero)
+        assert not pg.verify_target(double_edge(0.0), zero)
+        assert pg.search_graph_for_state(zero) is None
+
+
+def test_search_takes_the_target_as_a_ray():
+    w = pg.search_graph_for_state(w_state_target())
+    for scale in (0.01, 2.0, 1e6):
+        scaled = QuantumState({k: a * scale for k, a in w_state_target().terms.items()})
+        assert pg.search_graph_for_state(scaled) == w
+
+
 def test_state_invariant_under_edge_relabeling():
     g = layered6()
     relabeled = ExperimentGraph(
