@@ -263,15 +263,15 @@ def _unit_target(target: QuantumState) -> QuantumState:
     document written without ``--normalize`` means the same state.  A
     target of unit norm (within ``AMP_TOL``) comes back as it is, and so
     does an all-zero one (no amplitude above ``AMP_TOL``)."""
-    if not target.pruned().terms:
+    mags = [abs(a) for a in target.terms.values()]
+    peak = max(mags, default=0.0)
+    if peak <= AMP_TOL:
         return target
-    # Dividing by the largest magnitude first keeps the norm finite.
-    peak = max(map(abs, target.terms.values()))
-    scaled = {k: a / peak for k, a in target.terms.items()}
-    norm = math.hypot(*map(abs, scaled.values()))
+    # Taken relative to the largest magnitude, the norm cannot overflow.
+    norm = math.hypot(*(m / peak for m in mags))
     if abs(peak * norm - 1) <= AMP_TOL:
         return target
-    return QuantumState({k: a / norm for k, a in scaled.items()}, normalized=True)
+    return QuantumState({k: a / peak / norm for k, a in target.terms.items()}, normalized=True)
 
 
 def verify_target(
