@@ -5,109 +5,82 @@ of the perfect matchings of its graph.  This package provides the graph
 model with canonical serialization, exact matching enumeration and counting
 kernels (hafnian / permanent), state synthesis and target search,
 matchability witnesses, a setup compiler and random-network statistics.
+
+Importing the package loads none of its modules.  Each public name, and
+each submodule (``photongraph.states`` and so on), is imported from its
+home module on first access (PEP 562) and then kept in the package
+namespace, so a short CLI call pays only for the modules it runs.
 """
 
-from .compiler import SetupPlan, parse_plan, plan_to_graph, render_plan, serialize_plan, synthesize_setup
-from .counting import count_pm_via_matrix, hafnian, matrix_counts, permanent
-from .errors import (
-    DomainError,
-    FullyFrustratedError,
-    GraphParseError,
-    NotBipartiteError,
-    PhotonGraphError,
-    ScaleLimitError,
-)
-from .feasibility import HallWitness, TutteWitness, hall_check, tutte_check
-from .graph import (
-    Edge,
-    ExperimentGraph,
-    complete_graph,
-    merge_graphs,
-    parse_graph,
-    random_graph,
-    serialize_graph,
-    to_dot,
-    vertex_names,
-)
-from .matching import (
-    Factorization,
-    LayerReport,
-    classify_layers,
-    count_pm_formula,
-    enumerate_factorizations,
-    enumerate_pm,
-    ghz_dimension_bound,
-    is_coincidence_cover,
-    max_disjoint_pms,
-    scan_ghz_dimension,
-)
-from .networks import EnsembleReport, ensemble_scan, network_amplitude, network_state, trial_seed
-from .states import (
-    QuantumState,
-    frustration_scan,
-    is_ghz_like,
-    parse_state,
-    search_graph_for_state,
-    serialize_state,
-    state_from_graph,
-    states_equal,
-    verify_target,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Edge",
-    "ExperimentGraph",
-    "QuantumState",
-    "SetupPlan",
-    "Factorization",
-    "LayerReport",
-    "HallWitness",
-    "TutteWitness",
-    "EnsembleReport",
-    "PhotonGraphError",
-    "GraphParseError",
-    "DomainError",
-    "NotBipartiteError",
-    "ScaleLimitError",
-    "FullyFrustratedError",
-    "parse_graph",
-    "serialize_graph",
-    "merge_graphs",
-    "random_graph",
-    "complete_graph",
-    "vertex_names",
-    "to_dot",
-    "enumerate_pm",
-    "count_pm_formula",
-    "max_disjoint_pms",
-    "ghz_dimension_bound",
-    "enumerate_factorizations",
-    "classify_layers",
-    "scan_ghz_dimension",
-    "is_coincidence_cover",
-    "hafnian",
-    "permanent",
-    "count_pm_via_matrix",
-    "matrix_counts",
-    "state_from_graph",
-    "is_ghz_like",
-    "states_equal",
-    "verify_target",
-    "search_graph_for_state",
-    "frustration_scan",
-    "parse_state",
-    "serialize_state",
-    "hall_check",
-    "tutte_check",
-    "synthesize_setup",
-    "plan_to_graph",
-    "serialize_plan",
-    "parse_plan",
-    "render_plan",
-    "ensemble_scan",
-    "network_amplitude",
-    "network_state",
-    "trial_seed",
-]
+# Public name -> home module, by module.
+_EXPORTS = {
+    "errors": (
+        "PhotonGraphError",
+        "GraphParseError",
+        "DomainError",
+        "NotBipartiteError",
+        "ScaleLimitError",
+        "FullyFrustratedError",
+    ),
+    "graph": (
+        "Edge",
+        "ExperimentGraph",
+        "parse_graph",
+        "serialize_graph",
+        "merge_graphs",
+        "random_graph",
+        "complete_graph",
+        "vertex_names",
+        "to_dot",
+    ),
+    "matching": (
+        "Factorization",
+        "LayerReport",
+        "enumerate_pm",
+        "count_pm_formula",
+        "max_disjoint_pms",
+        "ghz_dimension_bound",
+        "enumerate_factorizations",
+        "classify_layers",
+        "scan_ghz_dimension",
+        "is_coincidence_cover",
+    ),
+    "counting": ("hafnian", "permanent", "count_pm_via_matrix", "matrix_counts"),
+    "states": (
+        "QuantumState",
+        "state_from_graph",
+        "is_ghz_like",
+        "states_equal",
+        "verify_target",
+        "search_graph_for_state",
+        "frustration_scan",
+        "parse_state",
+        "serialize_state",
+    ),
+    "feasibility": ("HallWitness", "TutteWitness", "hall_check", "tutte_check"),
+    "compiler": ("SetupPlan", "synthesize_setup", "plan_to_graph", "serialize_plan", "parse_plan", "render_plan"),
+    "networks": ("EnsembleReport", "ensemble_scan", "network_amplitude", "network_state", "trial_seed"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

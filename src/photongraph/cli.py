@@ -3,18 +3,42 @@
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 scale-limit refusal.
 Errors print one line ``error: <reason-code>: <message>`` on stderr.
 ``--format structured`` switches every subcommand to JSON output.
+
+A call imports only the modules its subcommand runs: ``graph`` and
+``errors`` always, and the kernel module (``matching``, ``states``,
+``counting`` and so on) when a handler first asks for it.  Handlers reach a
+kernel through ``_kernel``, which reads the module attribute ``cli.<kernel>``
+at call time, so a stand-in set there (a tracer, a test stub) is what runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
 
-from . import compiler, counting, feasibility, matching, networks, states
 from .errors import PhotonGraphError, ScaleLimitError
 from .graph import _expect, _float_value, merge_graphs, parse_graph, serialize_graph, to_dot
+
+_KERNELS = frozenset({"compiler", "counting", "feasibility", "matching", "networks", "states"})
+
+
+def __getattr__(name: str):
+    """``cli.<kernel>`` imports that kernel module on first access and keeps
+    it as a module attribute (PEP 562)."""
+    if name not in _KERNELS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = globals()[name] = importlib.import_module(f".{name}", __package__)
+    return module
+
+
+def _kernel(name: str):
+    """What ``cli.<name>`` holds: the kernel module, imported now if no
+    call needed it before, or whatever was put in its place."""
+    kernel = globals().get(name)
+    return kernel if kernel is not None else __getattr__(name)
 
 
 def _read(path: str) -> str:
@@ -52,7 +76,7 @@ def _emit(args, payload, text_lines):
 
 def _cmd_matchings(args) -> int:
     g = _load_graph(args.graph)
-    pms = matching.enumerate_pm(g, override_limits=args.limit_override)
+    pms = _kernel("matching").enumerate_pm(g, override_limits=args.limit_override)
     _emit(
         args,
         [list(pm) for pm in pms],
@@ -63,13 +87,13 @@ def _cmd_matchings(args) -> int:
 
 def _cmd_count(args) -> int:
     g = _load_graph(args.graph)
-    by_enum = len(matching.enumerate_pm(g, override_limits=args.limit_override))
+    by_enum = len(_kernel("matching").enumerate_pm(g, override_limits=args.limit_override))
     payload = {"enumeration": by_enum, "hafnian": None, "permanent": None}
     lines = [f"enumeration: {by_enum}"]
     # matrix kernels count plain perfect matchings: defined for unmeasured
     # graphs of even order only
     if not g.measured and len(g.vertices) % 2 == 0:
-        by_hafnian, perm = counting.matrix_counts(g, override_limits=args.limit_override)
+        by_hafnian, perm = _kernel("counting").matrix_counts(g, override_limits=args.limit_override)
         payload["hafnian"] = by_hafnian
         lines.append(f"hafnian: {by_hafnian}")
         if perm is not None:
@@ -81,6 +105,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_state(args) -> int:
     g = _load_graph(args.graph)
+    states = _kernel("states")
     state = states.state_from_graph(
         g, normalize=args.normalize, override_limits=args.limit_override
     )
@@ -94,6 +119,7 @@ def _cmd_state(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
+    states = _kernel("states")
     target = states.parse_state(_read(args.state))
     match = states.verify_target(g, target, override_limits=args.limit_override)
     _emit(args, {"match": match}, ["MATCH" if match else "MISMATCH"])
@@ -101,6 +127,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    states = _kernel("states")
     target = states.parse_state(_read(args.state))
     found = states.search_graph_for_state(
         target,
@@ -119,7 +146,7 @@ def _cmd_search(args) -> int:
 def _cmd_frustrate(args) -> int:
     g = _load_graph(args.graph)
     phases = [float(x) for x in args.phases.split(",") if x.strip() != ""]
-    rows = states.frustration_scan(
+    rows = _kernel("states").frustration_scan(
         g, args.edge, phases, override_limits=args.limit_override
     )
     _emit(
@@ -132,7 +159,7 @@ def _cmd_frustrate(args) -> int:
 
 def _cmd_ghz_max(args) -> int:
     g = _load_graph(args.graph)
-    d, witness = matching.max_disjoint_pms(g, override_limits=args.limit_override)
+    d, witness = _kernel("matching").max_disjoint_pms(g, override_limits=args.limit_override)
     _emit(
         args,
         {"d": d, "witness": [list(pm) for pm in witness]},
@@ -143,7 +170,7 @@ def _cmd_ghz_max(args) -> int:
 
 def _cmd_factorize(args) -> int:
     g = _load_graph(args.graph)
-    factorizations = matching.enumerate_factorizations(
+    factorizations = _kernel("matching").enumerate_factorizations(
         g, override_limits=args.limit_override
     )
     payload = [[list(f) for f in fz.factors] for fz in factorizations]
@@ -156,7 +183,7 @@ def _cmd_factorize(args) -> int:
 
 def _cmd_layers(args) -> int:
     g = _load_graph(args.graph)
-    report = matching.classify_layers(g, override_limits=args.limit_override)
+    report = _kernel("matching").classify_layers(g, override_limits=args.limit_override)
     payload = {
         "layers": [list(pm) for pm in report.layer_matchings],
         "mavericks": [list(pm) for pm in report.maverick_matchings],
@@ -173,6 +200,7 @@ def _cmd_layers(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
+    feasibility = _kernel("feasibility")
     if args.criterion == "hall":
         parts = None
         if args.parts_by_order:
@@ -266,7 +294,7 @@ def _cmd_hafnian(args) -> int:
     g, matrix = _load_matrix(args.file)
     if g is not None:
         matrix = g.adjacency()
-    return _matrix_result(args, counting.hafnian(matrix, override_limits=args.limit_override))
+    return _matrix_result(args, _kernel("counting").hafnian(matrix, override_limits=args.limit_override))
 
 
 def _cmd_permanent(args) -> int:
@@ -278,7 +306,7 @@ def _cmd_permanent(args) -> int:
                 "biadjacency is not square; permanent undefined", reason="unequal-parts"
             )
         matrix = [list(r) for r in bi.entries]
-    return _matrix_result(args, counting.permanent(matrix, override_limits=args.limit_override))
+    return _matrix_result(args, _kernel("counting").permanent(matrix, override_limits=args.limit_override))
 
 
 def _cmd_merge(args) -> int:
@@ -305,6 +333,7 @@ def _cmd_merge(args) -> int:
 
 def _cmd_synth(args) -> int:
     g = _load_graph(args.graph)
+    compiler = _kernel("compiler")
     plan = compiler.synthesize_setup(g)
     doc = compiler.serialize_plan(plan)
     if args.output:
@@ -319,6 +348,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_unsynth(args) -> int:
+    compiler = _kernel("compiler")
     plan = compiler.parse_plan(_read(args.plan))
     doc = serialize_graph(compiler.plan_to_graph(plan))
     if args.output:
@@ -331,6 +361,7 @@ def _cmd_unsynth(args) -> int:
 
 def _cmd_random(args) -> int:
     p_values = [float(x) for x in args.p]
+    networks = _kernel("networks")
     reports = networks.ensemble_scan(
         args.n, p_values, args.trials, args.seed, workers=args.threads
     )

@@ -10,14 +10,15 @@ A trial goes from its seed to its count without building a graph: the
 edge pairs come from the sampler behind :func:`~photongraph.graph.random_graph`
 (so a trial's graph is ``random_graph(n, p, trial_seed(seed, trial))``), are
 written into 0/1 adjacency rows and handed to the hafnian.  With several
-workers, one process pool per scan takes every (p, trial range) chunk.
+workers, one process pool per scan takes every (p, trial range) chunk; the
+pool class is imported only then, so a serial scan never loads
+``concurrent.futures.process``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .counting import hafnian
@@ -33,6 +34,17 @@ __all__ = [
     "network_state",
     "report_csv_rows",
 ]
+
+
+def __getattr__(name: str):
+    """``networks.ProcessPoolExecutor`` is imported on first access and kept
+    as a module attribute (PEP 562)."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 @dataclass
@@ -88,7 +100,8 @@ def ensemble_scan(
     if workers > 1:
         chunk = max(1, trials // (workers * 4))
         bounds = list(range(0, trials, chunk)) + [trials]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=workers) as pool:
             futures = [
                 [pool.submit(_count_range, n, p, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
                 for p in p_values
