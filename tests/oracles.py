@@ -4,9 +4,10 @@ checked against.  Nothing here shares code with the package kernels."""
 from __future__ import annotations
 
 import cmath
-from itertools import combinations, permutations
+import math
+from itertools import combinations, permutations, product
 
-from photongraph import ExperimentGraph
+from photongraph import Edge, ExperimentGraph, vertex_names
 
 
 def brute_force_covers(g: ExperimentGraph) -> list[tuple[str, ...]]:
@@ -131,3 +132,71 @@ def naive_ghz_family(n: int) -> tuple[int, list[tuple[int, int]]]:
 
     grow(0, 0, 0)
     return best_size, [pq for k, pq in enumerate(pairs) if best_union >> k & 1]
+
+
+def naive_search_graph_for_state(target, *, max_edges: int = 8, max_mode: int = 3, max_parallel: int = 4):
+    """First graph of the target search, found the slow way.  The target is
+    scaled to unit norm and its global phase fixed on the first ket; for
+    each scale s = 1, 2, ... every ket k takes s * |a_k| / min |a| distinct
+    pairings of the slots in every combination, labelled with the ket's
+    modes.  All unions of one scale are sorted as label tuples, and the
+    first one within the bounds whose brute-force state matches the target
+    is the answer.  No pruning: every bound is applied at the leaf."""
+    peak = max((abs(a) for a in target.terms.values()), default=0.0)
+    if peak <= 1e-9:
+        return None
+    norm = math.hypot(*(abs(a) / peak for a in target.terms.values())) * peak
+    kept = {k: a / norm for k, a in target.terms.items() if abs(a / norm) > 1e-9}
+    kets = sorted(kept)
+    n = len(kets[0])
+    if n == 0 or any(len(k) != n for k in kets):
+        return None
+    first = kept[kets[0]]
+    want = {k: a * abs(first) / first for k, a in kept.items()}
+
+    def slot_pairings(avail: tuple[int, ...]):
+        if not avail:
+            yield ()
+            return
+        for k in range(1, len(avail)):
+            for rest in slot_pairings(avail[1:k] + avail[k + 1:]):
+                yield ((avail[0], avail[k]),) + rest
+
+    options = list(slot_pairings(tuple(range(n))))
+    smallest = min(abs(a) for a in want.values())
+    names = vertex_names(n)
+
+    def within_bounds(labels) -> bool:
+        per_pair: dict[tuple[int, int], int] = {}
+        for i, j, mi, mj in labels:
+            per_pair[(i, j)] = per_pair.get((i, j), 0) + 1
+        return (len(labels) <= max_edges and max(per_pair.values()) <= max_parallel
+                and all(max(mi, mj) <= max_mode for _, _, mi, mj in labels))
+
+    def matches(g: ExperimentGraph) -> bool:
+        state = brute_force_state(g)
+        total = math.sqrt(sum(abs(a) ** 2 for a in state.values()))
+        state = {k: a / total for k, a in state.items() if abs(a / total) > 1e-9}
+        lead = state[min(state)]
+        state = {k: a * abs(lead) / lead for k, a in state.items()}
+        return set(state) == set(want) and all(abs(state[k] - want[k]) <= 1e-9 for k in want)
+
+    for scale in range(1, len(options) + 1):
+        counts = [scale * abs(want[k]) / smallest for k in kets]
+        if any(abs(c - round(c)) > 1e-6 for c in counts):
+            continue
+        unions = set()
+        for choice in product(*(combinations(options, round(c)) for c in counts)):
+            labels = set()
+            for ket, chosen in zip(kets, choice):
+                for pairing in chosen:
+                    labels.update((i, j, ket[i], ket[j]) for i, j in pairing)
+            unions.add(tuple(sorted(labels)))
+        for labels in sorted(unions):
+            if not within_bounds(labels):
+                continue
+            g = ExperimentGraph(names, [Edge(f"e{k}", names[i], names[j], mi, mj)
+                                        for k, (i, j, mi, mj) in enumerate(labels)])
+            if matches(g):
+                return g
+    return None

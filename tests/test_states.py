@@ -14,7 +14,7 @@ import photongraph as pg
 from photongraph import Edge, ExperimentGraph, QuantumState
 
 from fixt import double_edge, k4_ghz, layered6, w_state_target
-from oracles import brute_force_state
+from oracles import brute_force_state, naive_search_graph_for_state
 
 INV_SQRT3 = 1 / math.sqrt(3)
 
@@ -242,6 +242,37 @@ def test_search_is_deterministic():
 def test_search_rejects_unreachable_modes():
     target = QuantumState({(9, 9): 1.0})
     assert pg.search_graph_for_state(target, max_mode=3) is None
+
+
+@st.composite
+def search_cases(draw):
+    n = draw(st.sampled_from([2, 4]))
+    kets = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=3, unique=True))
+    terms = {
+        ket: cmath.rect(draw(st.sampled_from([1.0, 1.0, 2.0, 3.0])), draw(st.sampled_from([0.0] * 6 + [math.pi])))
+        for ket in kets
+    }
+    bounds = {
+        "max_edges": draw(st.integers(4, 8)),
+        "max_mode": draw(st.sampled_from([1, 2, 2])),
+        "max_parallel": draw(st.integers(1, 4)),
+    }
+    return QuantumState(terms), bounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases())
+def test_search_first_hit_matches_naive_oracle(case):
+    target, bounds = case
+    assert pg.search_graph_for_state(target, **bounds) == naive_search_graph_for_state(target, **bounds)
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (4, 3), (6, 2)])
+def test_search_ghz_first_hit_matches_naive_oracle(n, d):
+    target = QuantumState({(m,) * n: 1 / math.sqrt(d) for m in range(d)})
+    found = pg.search_graph_for_state(target)
+    assert found is not None
+    assert found == naive_search_graph_for_state(target)
 
 
 def test_frustration_scan_double_edge():
