@@ -361,6 +361,9 @@ def search_graph_for_state(
     in at most one slot (such kets share no edge), less the edges already
     chosen that fit each ket.  The bound never drops a candidate within the
     budget, so the first hit is unchanged."""
+    for name, bound in (("max_edges", max_edges), ("max_mode", max_mode), ("max_parallel", max_parallel)):
+        if bound < 0:
+            raise DomainError(f"{name} must be nonnegative, got {bound}")
     target = _unit_target(target)
     canon = target.canonical()
     kets = sorted(canon.terms)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,37 @@ def test_search_cli_finds_w_state(capsys, tmp_path):
     assert code == 0
     found = pg.parse_graph(out)
     assert pg.verify_target(found, w_state_target())
+
+
+@pytest.mark.parametrize("flag", ["--max-edges", "--max-mode", "--max-parallel"])
+def test_search_negative_bound_is_one_error_line(capsys, tmp_path, flag):
+    state_path = tmp_path / "w.state"
+    state_path.write_text(pg.serialize_state(w_state_target()), encoding="utf-8")
+    code = main(["search", str(state_path), flag, "-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: domain-error:") and err.count("\n") == 1
+
+
+def test_closed_stdout_ends_without_traceback(tmp_path):
+    """`matchings k12.graph --limit-override | head -1`: the 10395 matching
+    lines overflow the pipe buffer, so a write fails once the reader is
+    gone; the process exits 1 and prints nothing on stderr."""
+    path = tmp_path / "k12.graph"
+    path.write_text(pg.serialize_graph(pg.complete_graph(12)), encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "photongraph.cli", "matchings", str(path), "--limit-override"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_unnormalized_state_document_verifies_and_is_found(capsys, tmp_path):

@@ -239,6 +239,12 @@ def test_search_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("bound", ["max_edges", "max_mode", "max_parallel"])
+def test_search_negative_bound_is_a_domain_error(bound):
+    with pytest.raises(pg.DomainError, match=bound):
+        pg.search_graph_for_state(w_state_target(), **{bound: -1})
+
+
 def test_search_rejects_unreachable_modes():
     target = QuantumState({(9, 9): 1.0})
     assert pg.search_graph_for_state(target, max_mode=3) is None
