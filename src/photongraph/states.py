@@ -89,9 +89,15 @@ def states_equal(s1: QuantumState, s2: QuantumState, tol: float = AMP_TOL) -> bo
     return all(abs(a.terms[k] - b.terms[k]) <= tol for k in a.terms)
 
 
+def _indexed(g: ExperimentGraph, edges) -> list[tuple]:
+    """``edges`` of ``g`` as (i, j, mode_i, mode_j, amplitude) with vertex
+    indices i < j, the form ``_cover_sums`` takes."""
+    return [(g.index(e.u), g.index(e.v), e.mode_u, e.mode_v, e.amplitude) for e in edges]
+
+
 def _radix(edges) -> int:
     """Base of the mixed-radix ket codes: one more than the largest mode."""
-    return 1 + max((max(e.mode_u, e.mode_v) for e in edges), default=0)
+    return 1 + max((max(e[2], e[3]) for e in edges), default=0)
 
 
 def _decode(codes: list[int], radix: int, length: int) -> list[Ket]:
@@ -103,11 +109,10 @@ def _decode(codes: list[int], radix: int, length: int) -> list[Ket]:
     return list(zip(*reversed(columns))) if columns else [()] * len(codes)
 
 
-def _cover_sums(
-    g: ExperimentGraph, radix: int, forced: Edge | None = None
-) -> dict[int, complex]:
+def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple | None = None) -> dict[int, complex]:
     """Summed cover amplitude per ket, by a memoized DP over what is left to
-    cover.  No cover is enumerated.
+    cover.  No cover is enumerated.  Vertex i is measured if ``measured[i]``;
+    ``edges`` are (i, j, mode_i, mode_j, amplitude) tuples with i < j.
 
     A ket is coded as the integer sum of mode * radix**(k - 1 - slot) over
     its k slots, so joining two partial kets is an addition and integer order
@@ -119,10 +124,10 @@ def _cover_sums(
     with need 2, so every cover is counted once.  Edges to lower vertices are
     never candidates, since those are covered already.
 
-    With ``forced`` (an edge not in ``g``), only covers of ``g`` plus that
-    edge which contain it are summed, without its amplitude."""
-    n = len(g.vertices)
-    measured = [v in g.measured for v in g.vertices]
+    With ``forced`` (an edge tuple not in ``edges``), only covers of
+    ``edges`` plus that edge which contain it are summed, without its
+    amplitude."""
+    n = len(measured)
     weight = [0] * n
     slot = sum(not m for m in measured)
     for i in range(n):
@@ -135,12 +140,11 @@ def _cover_sums(
     field = (1 << width) - 1
     shift = [width * i for i in range(n)]
 
-    # Per lower endpoint (graphs store each edge with its lower endpoint as
-    # u): (higher endpoint, own mode, its mode, ket code, amplitude).
+    # Per lower endpoint: (higher endpoint, own mode, its mode, ket code,
+    # amplitude).
     incident: list[list[tuple]] = [[] for _ in range(n)]
-    for e in g.edges:
-        i, j = g.index(e.u), g.index(e.v)
-        incident[i].append((j, e.mode_u, e.mode_v, e.mode_u * weight[i] + e.mode_v * weight[j], e.amplitude))
+    for i, j, mode_i, mode_j, amp in edges:
+        incident[i].append((j, mode_i, mode_j, mode_i * weight[i] + mode_j * weight[j], amp))
 
     def place(w: int, mode: int, rem: int, half: int, pend: int):
         """Give vertex ``w`` one incidence carrying ``mode``; None if it
@@ -197,9 +201,9 @@ def _cover_sums(
     start = ((1 << n) - 1, 0, 0)
     offset = 0
     if forced is not None:
-        i, j = g.index(forced.u), g.index(forced.v)
-        start = place(j, forced.mode_v, *place(i, forced.mode_u, *start))
-        offset = forced.mode_u * weight[i] + forced.mode_v * weight[j]
+        i, j, mode_i, mode_j, _ = forced
+        start = place(j, mode_j, *place(i, mode_i, *start))
+        offset = mode_i * weight[i] + mode_j * weight[j]
     sums = {code + offset: amp for code, amp in solve(*start).items()}
     memo.clear()
     return sums
@@ -215,8 +219,9 @@ def state_from_graph(
     if everything cancelled there is nothing to normalize and a
     fully-frustrated error is raised."""
     _check_scale(g, override_limits)
-    radix = _radix(g.edges)
-    sums = _cover_sums(g, radix)
+    edges = _indexed(g, g.edges)
+    radix = _radix(edges)
+    sums = _cover_sums([v in g.measured for v in g.vertices], edges, radix)
     if not all(map(cmath.isfinite, sums.values())):
         raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
     codes = sorted(code for code, amp in sums.items() if abs(amp) > AMP_TOL)
@@ -237,7 +242,8 @@ def state_from_graph(
 def _cover_amplitude_sum(g: ExperimentGraph, *, override_limits: bool = False) -> complex:
     """Sum over all coincidence covers of their amplitudes, nothing pruned."""
     _check_scale(g, override_limits)
-    total = sum(_cover_sums(g, _radix(g.edges)).values(), 0j)
+    edges = _indexed(g, g.edges)
+    total = sum(_cover_sums([v in g.measured for v in g.vertices], edges, _radix(edges)).values(), 0j)
     if not cmath.isfinite(total):
         raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
     return total
@@ -307,10 +313,12 @@ def frustration_scan(
     kets."""
     edge = g.edge_by_id(edge_id)
     _check_scale(g, override_limits)
-    rest = ExperimentGraph(g.vertices, [e for e in g.edges if e.id != edge_id], g.measured)
-    radix = _radix(g.edges)
-    without = _cover_sums(rest, radix)
-    through = _cover_sums(rest, radix, forced=edge)
+    measured = [v in g.measured for v in g.vertices]
+    rest = _indexed(g, [e for e in g.edges if e.id != edge_id])
+    (forced,) = _indexed(g, [edge])
+    radix = _radix(rest + [forced])
+    without = _cover_sums(measured, rest, radix)
+    through = _cover_sums(measured, rest, radix, forced=forced)
     pairs = [(without.get(k, 0j), through.get(k, 0j)) for k in without.keys() | through.keys()]
     out = []
     for phase in phases:
@@ -350,10 +358,13 @@ def search_graph_for_state(
     and the per-ket cover counts must be proportional to the target
     magnitudes.  Candidates are therefore assembled directly from covers -
     for each ket, a choice of vertex pairings - with the implied edge set
-    kept within the bounds, and every candidate is re-verified against the
-    target.  Candidates are tried by increasing total cover count and, within
-    one level, by canonical edge-set order, so the first hit is
-    deterministic.
+    kept within the bounds.  Candidates are tried by increasing total cover
+    count and, within one level, by canonical edge-set order (sorted label
+    tuples), so the first hit is deterministic.  Each edge label
+    (i, j, mode_i, mode_j) is one bit, so a candidate is an int bitmask
+    ordered exactly as its label tuple; the state kernel runs on its labels,
+    and only a candidate whose state matches becomes a graph, re-verified
+    with ``verify_target``.
 
     A partial edge set is dropped when even the fewest edges the remaining
     kets still need cannot fit the budget: n/2 edges for one cover of a ket,
@@ -392,10 +403,22 @@ def search_graph_for_state(
     # No graph within the edge budget hosts more distinct covers than this.
     cover_capacity = math.comb(max_edges, n // 2)
 
-    def cover_edges(ket: Ket, pairing) -> frozenset[tuple[int, int, int, int]]:
-        return frozenset((i, j, ket[i], ket[j]) for i, j in pairing)
-
-    per_ket_options = [[cover_edges(ket, p) for p in all_pairings] for ket in kets]
+    # One bit per edge label, ranked in label order.
+    labels = sorted({(i, j, ket[i], ket[j]) for ket in kets for p in all_pairings for i, j in p})
+    bit = {label: 1 << r for r, label in enumerate(labels)}
+    per_ket_options = [[sum(bit[i, j, ket[i], ket[j]] for i, j in p) for p in all_pairings] for ket in kets]
+    # Labels fitting each ket, and the parallel labels of each vertex pair.
+    ket_mask = [sum(b for (i, j, mi, mj), b in bit.items() if ket[i] == mi and ket[j] == mj) for ket in kets]
+    pair_mask: dict[tuple[int, int], int] = {}
+    for (i, j, _, _), b in bit.items():
+        pair_mask[i, j] = pair_mask.get((i, j), 0) | b
+    # Read from the lowest bit with set bits as "0", masks sort as their
+    # label tuples: the first label in which two differ decides, and a
+    # prefix sorts first.
+    flip = str.maketrans("01", "10")
+    # Target ket codes; a candidate's sums are positive cover counts.
+    radix = 1 + max(map(max, kets))
+    want = {sum(m * radix ** (n - 1 - s) for s, m in enumerate(ket)): a for ket, a in zip(kets, amps)}
 
     # Per start index, a greedy set of the remaining kets that pairwise
     # agree in at most one slot.  Such kets share no edge label, so the
@@ -408,16 +431,6 @@ def search_graph_for_state(
                 picked.append(k)
         spread.append(picked)
 
-    def edge_budget_ok(union: frozenset) -> bool:
-        if len(union) > max_edges:
-            return False
-        per_pair: dict[tuple[int, int], int] = {}
-        for i, j, _, _ in union:
-            per_pair[(i, j)] = per_pair.get((i, j), 0) + 1
-            if per_pair[(i, j)] > max_parallel:
-                return False
-        return True
-
     for scale in range(1, pairing_count + 1):
         counts = []
         for r in ratios:
@@ -429,36 +442,42 @@ def search_graph_for_state(
             counts.append(rounded)
         if not counts or sum(counts) > cover_capacity:
             continue
+        # Each chosen pairing puts at most one label on a pair.
+        check_parallel = sum(counts) > max_parallel
 
         # Fewest edges hosting c covers of one ket: one pairing has n/2
         # edges, and two distinct pairings differ on even alternating cycles,
         # so a second one adds at least two.
         least = [n // 2 if c == 1 else n // 2 + 2 for c in counts]
-        candidates: set[tuple[tuple[int, int, int, int], ...]] = set()
+        candidates: set[int] = set()
 
-        def extend(idx: int, union: frozenset):
-            if idx == len(kets):
-                candidates.add(tuple(sorted(union)))
+        def extend(idx: int, union: int):
+            still_needed = sum(max(0, least[k] - (union & ket_mask[k]).bit_count()) for k in spread[idx])
+            if union.bit_count() + still_needed > max_edges:
                 return
-            still_needed = 0
-            for k in spread[idx]:
-                ket = kets[k]
-                have = sum(ket[i] == mi and ket[j] == mj for i, j, mi, mj in union)
-                still_needed += max(0, least[k] - have)
-            if len(union) + still_needed > max_edges:
-                return
-            options = per_ket_options[idx]
-            for combo in combinations(range(len(options)), counts[idx]):
-                new_union = union.union(*(options[i] for i in combo))
-                if edge_budget_ok(new_union):
+            for combo in combinations(per_ket_options[idx], counts[idx]):
+                new_union = union
+                for option in combo:
+                    new_union |= option
+                if new_union.bit_count() > max_edges or check_parallel and any(
+                    (new_union & m).bit_count() > max_parallel for m in pair_mask.values()
+                ):
+                    continue
+                if idx + 1 < len(kets):
                     extend(idx + 1, new_union)
+                else:
+                    candidates.add(new_union)
 
-        extend(0, frozenset())
-        for key in sorted(candidates):
-            edges = [
-                Edge(id=f"e{k}", u=names[i], v=names[j], mode_u=mi, mode_v=mj)
-                for k, (i, j, mi, mj) in enumerate(key)
-            ]
+        extend(0, 0)
+        for mask in sorted(candidates, key=lambda m: bin(m)[:1:-1].translate(flip)):
+            key = [label for r, label in enumerate(labels) if mask >> r & 1]
+            sums = _cover_sums([False] * n, [(*label, 1) for label in key], radix)
+            if sums.keys() != want.keys():
+                continue
+            norm = math.hypot(*map(abs, sums.values()))
+            if any(abs(abs(sums[c]) / norm - a) > 2 * AMP_TOL for c, a in want.items()):
+                continue
+            edges = [Edge(f"e{k}", names[i], names[j], mi, mj) for k, (i, j, mi, mj) in enumerate(key)]
             graph = ExperimentGraph(names, edges)
             if verify_target(graph, target):
                 return graph
