@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .errors import PhotonGraphError, ScaleLimitError
-from .graph import _expect, _float_value, merge_graphs, parse_graph, serialize_graph, to_dot
+from .graph import _expect, _float_value, _parse_json, merge_graphs, parse_graph, serialize_graph, to_dot
 
 _KERNELS = frozenset({"compiler", "counting", "feasibility", "matching", "networks", "states"})
 
@@ -45,7 +46,7 @@ def _kernel(name: str):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PhotonGraphError(f"cannot read {path}: {exc}", reason="io-error") from None
 
 
@@ -146,9 +147,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_frustrate(args) -> int:
     g = _load_graph(args.graph)
-    phases = [float(x) for x in args.phases.split(",") if x.strip() != ""]
     rows = _kernel("states").frustration_scan(
-        g, args.edge, phases, override_limits=args.limit_override
+        g, args.edge, args.phases, override_limits=args.limit_override
     )
     _emit(
         args,
@@ -255,10 +255,7 @@ def _cmd_check(args) -> int:
 
 def _load_matrix(path: str):
     text = _read(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
+    doc = _parse_json(text, "<matrix>")
     if isinstance(doc, dict):
         return parse_graph(text), None
     _expect(isinstance(doc, list), "file is neither a graph document nor a matrix", "<matrix>")
@@ -361,10 +358,9 @@ def _cmd_unsynth(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    p_values = [float(x) for x in args.p]
     networks = _kernel("networks")
     reports = networks.ensemble_scan(
-        args.n, p_values, args.trials, args.seed, workers=args.threads
+        args.n, args.p, args.trials, args.seed, workers=args.threads
     )
     payload = [
         {
@@ -403,6 +399,17 @@ def _cmd_dot(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _phase_list(text: str) -> list[float]:
+    """Comma-separated finite radians; empty items are skipped."""
+    try:
+        phases = [float(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
+    if not all(map(math.isfinite, phases)):
+        raise argparse.ArgumentTypeError(f"phases must be finite, got {text!r}")
+    return phases
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frustrate", parents=[guarded], help="sweep one edge's phase, report intensity")
     p.add_argument("graph")
     p.add_argument("edge")
-    p.add_argument("--phases", required=True, help="comma-separated radians")
+    p.add_argument("--phases", type=_phase_list, required=True, help="comma-separated radians")
     p.set_defaults(handler=_cmd_frustrate)
 
     p = sub.add_parser("ghz-max", parents=[guarded], help="largest set of pairwise disjoint matchings")
@@ -503,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", parents=[common], help="G(n,p) ensembles and matching statistics")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", action="append", required=True, help="repeatable probability value")
+    p.add_argument("--p", type=float, action="append", required=True, help="repeatable probability value")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, GraphParseError
-from .graph import Edge, ExperimentGraph, _edge_record, _expect, _read_edge, _read_names
+from .graph import Edge, ExperimentGraph, _edge_record, _expect, _parse_json, _read_edge, _read_names
 
 __all__ = [
     "SetupPlan",
@@ -140,10 +140,7 @@ def serialize_plan(plan: SetupPlan) -> str:
 
 def parse_plan(text: str) -> SetupPlan:
     """Parse a plan document; errors carry the location of the bad field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"invalid JSON: {exc}", location="<plan>") from None
+    doc = _parse_json(text, "<plan>")
     _expect(
         isinstance(doc, dict) and {"detectors", "layers", "wiring"} <= set(doc),
         "plan must be an object with detectors, layers and wiring",

@@ -49,8 +49,14 @@ def _validate_square(matrix) -> int:
     return n
 
 
-def _finite(result):
-    """Integer results are exact; a float or complex one must be finite."""
+def _finite(kernel, *args):
+    """``kernel(*args)``.  Integer results are exact; a float or complex one
+    must be finite, and an integer too large for a double that meets a float
+    entry overflows too."""
+    try:
+        result = kernel(*args)
+    except OverflowError:
+        result = cmath.inf
     if isinstance(result, (float, complex)) and not cmath.isfinite(result):
         raise DomainError("result overflows double precision", reason="overflow")
     return result
@@ -102,7 +108,7 @@ def hafnian(matrix, *, override_limits: bool = False):
         memo[mask] = total
         return total
 
-    return _finite(rec((1 << n) - 1) if n else 1)
+    return _finite(rec, (1 << n) - 1) if n else 1
 
 
 def permanent(matrix, *, override_limits: bool = False):
@@ -113,9 +119,10 @@ def permanent(matrix, *, override_limits: bool = False):
     n = _validate_square(matrix)
     if not override_limits and n > PERMANENT_ORDER_LIMIT:
         raise ScaleLimitError(f"permanent order {n} exceeds the guard (<= {PERMANENT_ORDER_LIMIT})")
-    if n == 0:
-        return 1
+    return _finite(_ryser, matrix, n) if n else 1
 
+
+def _ryser(matrix, n: int):
     row_sums = [0] * n
     total = 0
     prev_gray = 0
@@ -139,7 +146,7 @@ def permanent(matrix, *, override_limits: bool = False):
         else:
             total -= prod
         prev_gray = gray
-    return _finite(total)
+    return total
 
 
 def matrix_counts(g: ExperimentGraph, *, override_limits: bool = False):

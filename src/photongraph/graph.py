@@ -290,10 +290,24 @@ def _mode_value(raw, location: str) -> int:
 def _float_value(raw, location: str) -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise GraphParseError("expected a number", location=location)
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer beyond the double range
+        value = math.inf
     if not math.isfinite(value):
         raise GraphParseError("number must be finite", location=location)
     return value
+
+
+def _parse_json(text: str, location: str):
+    """The JSON value of ``text``; malformed or too deeply nested text is a
+    ``GraphParseError`` at ``location``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphParseError(f"invalid JSON: {exc}", location=location) from None
+    except RecursionError:
+        raise GraphParseError("invalid JSON: nested too deeply", location=location) from None
 
 
 def _read_names(raw, location: str) -> list[str]:
@@ -346,10 +360,7 @@ def _read_edge(rec, loc: str, vertices, ids: set[str], default_id: str | None = 
 
 def parse_graph(text: str) -> ExperimentGraph:
     """Parse a graph document; errors carry the location of the bad field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"invalid JSON: {exc}", location="<document>") from None
+    doc = _parse_json(text, "<document>")
     _expect(isinstance(doc, dict), "top level must be an object", "<document>")
     unknown = set(doc) - {"vertices", "measured", "edges"}
     _expect(not unknown, f"unknown keys {sorted(unknown)}", "<document>")

@@ -3,7 +3,10 @@
 A perfect matching is an edge subset covering every vertex exactly once;
 it is the graph-side picture of an n-fold coincidence.  Measured (merged)
 vertices absorb two photons and must be covered exactly twice; covers of
-graphs with measured vertices are called coincidence covers.
+graphs with measured vertices are called coincidence covers.  One walk,
+``_covers``, lists them all: it covers the lowest vertex still in need
+completely at each step, so each cover appears once.  The GHZ-dimension
+scan and the target search take the pairings of K_n from the same walk.
 
 Counting perfect matchings is #P-complete, so every operation here is an
 exact exponential algorithm behind an explicit scale guard.  The default
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import combinations
 
 from .errors import DomainError, ScaleLimitError
 from .graph import Edge, ExperimentGraph, _graph_from_pairs
@@ -83,77 +86,37 @@ def _edge_masks(g: ExperimentGraph, pms: list[Matching]) -> list[int]:
     return [sum(1 << pos[edge_id] for edge_id in pm) for pm in pms]
 
 
-def _iter_covers(g: ExperimentGraph) -> Iterator[tuple[int, ...]]:
-    """Yield coincidence covers as tuples of indices into the id-sorted edge
-    list.  Branches on include/exclude decisions for the lowest-index edge at
-    the lowest uncovered vertex, so every cover is produced exactly once."""
-    edges = _sorted_edges(g)
-    n = len(g.vertices)
-    need = [2 if v in g.measured else 1 for v in g.vertices]
-    index = {v: i for i, v in enumerate(g.vertices)}
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for k, e in enumerate(edges):
-        incident[index[e.u]].append(k)
-        incident[index[e.v]].append(k)
+def _covers(need: list[int], ends: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Every edge subset meeting each vertex v exactly ``need[v]`` times, as
+    sorted tuples of indices into ``ends`` (the edges as vertex index pairs).
+    Each step covers the lowest vertex with need left completely, by one edge
+    or an unordered pair of its free edges, so every cover is produced once:
+    an edge to a covered vertex is never free again."""
+    need = list(need)
+    incident: list[list[int]] = [[] for _ in need]
+    for k, (a, b) in enumerate(ends):
+        incident[a].append(k)
+        incident[b].append(k)
+    out: list[tuple[int, ...]] = []
 
-    ends = [(index[e.u], index[e.v]) for e in edges]
-    state = [0] * len(edges)  # 0 undecided, 1 chosen, -1 banned
-    chosen: list[int] = []
-
-    def candidates(v: int) -> list[int]:
-        out = []
-        for k in incident[v]:
-            if state[k] != 0:
-                continue
-            a, b = ends[k]
-            w = b if a == v else a
-            if need[w] > 0:
-                out.append(k)
-        return out
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        v = -1
-        for i in range(n):
-            if need[i] > 0:
-                v = i
-                break
-        if v < 0:
-            yield tuple(sorted(chosen))
+    def rec(v: int, chosen: tuple[int, ...]):
+        while v < len(need) and not need[v]:
+            v += 1
+        if v == len(need):
+            out.append(tuple(sorted(chosen)))
             return
-        cands = candidates(v)
-        if len(cands) < need[v]:
-            return
-        k = cands[0]
-        a, b = ends[k]
-        # include k
-        state[k] = 1
-        chosen.append(k)
-        need[a] -= 1
-        need[b] -= 1
-        yield from rec()
-        need[a] += 1
-        need[b] += 1
-        chosen.pop()
-        # exclude k
-        state[k] = -1
-        if len(cands) - 1 >= need[v]:
-            yield from rec()
-        state[k] = 0
+        free = [k for k in incident[v] if need[ends[k][0]] and need[ends[k][1]]]
+        for combo in combinations(free, need[v]):
+            hit = [end for k in combo for end in ends[k]]
+            for end in hit:
+                need[end] -= 1
+            if min(need) >= 0:
+                rec(v + 1, chosen + combo)
+            for end in hit:
+                need[end] += 1
 
-    yield from rec()
-
-
-def pairings(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect pairings of ``items``, each pair in item order; the first
-    item's partner varies slowest."""
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    for idx in range(1, len(items)):
-        rest = items[1:idx] + items[idx + 1:]
-        for tail in pairings(rest):
-            yield ((first, items[idx]),) + tail
+    rec(0, ())
+    return out
 
 
 def enumerate_pm(g: ExperimentGraph, *, override_limits: bool = False) -> list[Matching]:
@@ -161,7 +124,10 @@ def enumerate_pm(g: ExperimentGraph, *, override_limits: bool = False) -> list[M
     duplicate-free and sorted lexicographically by edge-id tuple."""
     _check_scale(g, override_limits)
     edges = _sorted_edges(g)
-    found = [tuple(edges[k].id for k in cover) for cover in _iter_covers(g)]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    need = [2 if v in g.measured else 1 for v in g.vertices]
+    ends = [(index[e.u], index[e.v]) for e in edges]
+    found = [tuple(edges[k].id for k in cover) for cover in _covers(need, ends)]
     found.sort()
     return found
 
@@ -255,8 +221,7 @@ def scan_ghz_dimension(
         )
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_pos = {pq: k for k, pq in enumerate(pairs)}
-    pms = sorted(sum(1 << pair_pos[pq] for pq in pairing) for pairing in pairings(tuple(range(n))))
+    pms = sorted(sum(1 << k for k in cover) for cover in _covers([1] * n, pairs))
     # Families and pairing sets are bitsets over the indices into ``pms``.
     every = (1 << len(pms)) - 1
     holding = [sum(1 << i for i, m in enumerate(pms) if m >> k & 1) for k in range(len(pairs))]

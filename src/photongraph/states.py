@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import DomainError, FullyFrustratedError, GraphParseError
-from .graph import Edge, ExperimentGraph, _expect, _float_value, _mode_value, vertex_names
-from .matching import _check_scale, pairings
+from .graph import Edge, ExperimentGraph, _expect, _float_value, _mode_value, _parse_json, vertex_names
+from .matching import _check_scale, _covers
 
 __all__ = [
     "AMP_TOL",
@@ -323,6 +323,8 @@ def frustration_scan(
     out = []
     for phase in phases:
         phase = float(phase)
+        if not math.isfinite(phase):
+            raise DomainError(f"phase must be finite, got {phase}")
         amp = cmath.rect(edge.amp_mag, phase)
         intensity = 0.0
         for b, a in pairs:
@@ -398,7 +400,8 @@ def search_graph_for_state(
     ratios = [a / smallest for a in amps]
 
     names = vertex_names(n)
-    all_pairings = list(pairings(tuple(range(n))))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    all_pairings = [[pairs[k] for k in cover] for cover in _covers([1] * n, pairs)]
     pairing_count = len(all_pairings)
     # No graph within the edge budget hosts more distinct covers than this.
     cover_capacity = math.comb(max_edges, n // 2)
@@ -503,10 +506,7 @@ def serialize_state(state: QuantumState) -> str:
 
 
 def parse_state(text: str) -> QuantumState:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"invalid JSON: {exc}", location="<state>") from None
+    doc = _parse_json(text, "<state>")
     _expect(isinstance(doc, list), "state document must be a list of terms", "<state>")
     terms: dict[Ket, complex] = {}
     length = None

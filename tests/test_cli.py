@@ -428,6 +428,9 @@ _HUGE_PAIR = pg.serialize_graph(
         (_HUGE_PAIR, ["state", "--normalize"]),
         (_HUGE_PAIR, ["frustrate", "x", "--phases", "0"]),
         ("[[1e308, 1e308], [1e308, 1e308]]", ["permanent"]),
+        pytest.param(f"[[{10**400}, 0.5], [0.5, 1]]", ["permanent"], id="integer-beyond-double-permanent"),
+        pytest.param(f"[[0, {10**400}, 0, 0], [{10**400}, 0, 0, 0], [0, 0, 0, 0.5], [0, 0, 0.5, 0]]", ["hafnian"],
+                     id="integer-beyond-double-hafnian"),
     ],
 )
 def test_overflow_is_one_error_line(capsys, tmp_path, document, argv):
@@ -438,3 +441,49 @@ def test_overflow_is_one_error_line(capsys, tmp_path, document, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: overflow: ")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+_DEEP = "[" * 200000 + "]" * 200000
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["state", "{doc}"], "parse-error"),
+        (["verify", "{k4}", "{doc}"], "parse-error"),
+        (["unsynth", "{doc}"], "parse-error"),
+        (["hafnian", "{doc}"], "parse-error"),
+        (["check", "tutte", "{doc}"], "parse-error"),
+        (["dot", "{bytes}"], "io-error"),
+    ],
+    ids=["state", "verify", "unsynth", "hafnian", "check", "not-utf8"],
+)
+def test_unreadable_document_is_one_error_line(capsys, tmp_path, k4_file, argv, reason):
+    deep, undecodable = tmp_path / "deep.json", tmp_path / "latin1.graph"
+    deep.write_text(_DEEP, encoding="utf-8")
+    undecodable.write_bytes(b'{"vertices": ["\xe9"]}')
+    argv = [a.format(doc=deep, k4=k4_file, bytes=undecodable) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {reason}: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frustrate", "{k4}", "I", "--phases", "abc"],
+        ["frustrate", "{k4}", "I", "--phases", "0,inf"],
+        ["frustrate", "{k4}", "I", "--phases", "nan", "--format", "structured"],
+        ["random", "--n", "4", "--p", "abc", "--trials", "2", "--seed", "1"],
+    ],
+    ids=["phases-abc", "phases-inf", "phases-nan", "p-abc"],
+)
+def test_non_numeric_arguments_are_usage_errors(capsys, k4_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(k4=k4_file) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err

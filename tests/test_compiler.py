@@ -259,6 +259,7 @@ def test_render_plan_lists_crystals_by_layer():
         ({"layers": [[{"id": "x", "u": "a", "v": "b"}], [{"id": "x", "u": "a", "v": "b"}]]}, "layers[1][0].id"),
         ({"layers": [[{"u": "a", "v": "b"}]]}, "layers[0][0]"),
         ({"detectors": ["a", "a"]}, "detectors[1]"),
+        ({"layers": [[{"id": "x", "u": "a", "v": "b", "amp_phase_rad": 10**400}]]}, "layers[0][0].amp_phase_rad"),
     ],
 )
 def test_malformed_plans_rejected_with_location(change, location):

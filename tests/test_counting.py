@@ -151,6 +151,9 @@ def test_overflowing_float_results_are_domain_errors():
     for kernel, m in (
         (pg.permanent, [[1e308, 1e308], [1e308, 1e308]]),
         (pg.hafnian, [[0 if i == j else 1e308 for j in range(4)] for i in range(4)]),
+        # an integer beyond the double range next to float entries
+        (pg.permanent, [[10**400, 0.5], [0.5, 1]]),
+        (pg.hafnian, [[0, 10**400, 0, 0], [10**400, 0, 0, 0], [0, 0, 0, 0.5], [0, 0, 0.5, 0]]),
     ):
         with pytest.raises(pg.DomainError) as err:
             kernel(m)

@@ -62,6 +62,9 @@ def test_parse_self_loop_rejected():
          "edges[0].mode_u"),
         ('{"vertices": ["a"], "measured": ["q"]}', "measured[0]"),
         ("not json", "<document>"),
+        pytest.param('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "amp_mag": 1' + "0" * 400 + "}]}",
+                     "edges[0].amp_mag: number must be finite", id="integer-beyond-double"),
+        pytest.param("[" * 200000 + "]" * 200000, "<document>: invalid JSON", id="nested-too-deeply"),
     ],
 )
 def test_parse_errors_carry_location(doc, fragment):

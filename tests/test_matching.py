@@ -139,6 +139,12 @@ def disjointness_graphs(draw):
 
 @given(disjointness_graphs())
 @settings(max_examples=150, deadline=None)
+def test_enumeration_matches_brute_force_on_measured_multigraphs(g):
+    assert pg.enumerate_pm(g) == brute_force_covers(g)
+
+
+@given(disjointness_graphs())
+@settings(max_examples=150, deadline=None)
 def test_max_disjoint_matches_oracle(g):
     d, witness = pg.max_disjoint_pms(g)
     assert d == max_disjoint_covers(g)

@@ -325,6 +325,26 @@ def test_parse_state_rejects_duplicate_kets():
         pg.parse_state('[{"modes": [0]}, {"modes": [0]}]')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param('[{"modes": [0], "amp_mag": 1' + "0" * 400 + "}]", "terms[0].amp_mag: number must be finite",
+                     id="integer-beyond-double"),
+        pytest.param("[" * 200000 + "]" * 200000, "<state>: invalid JSON", id="nested-too-deeply"),
+    ],
+)
+def test_parse_state_errors_carry_location(text, message):
+    with pytest.raises(pg.GraphParseError) as err:
+        pg.parse_state(text)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_frustration_scan_rejects_non_finite_phase(phase):
+    with pytest.raises(pg.DomainError):
+        pg.frustration_scan(double_edge(), "II", [0.0, phase])
+
+
 # ---------------------------------------------------------------------------
 # the state kernel against the brute-force oracle
 # ---------------------------------------------------------------------------
