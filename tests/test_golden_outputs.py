@@ -1,5 +1,5 @@
-"""Golden outputs of the combinatorial searches, the GHZ-dimension scan and
-the G(n, p) ensemble.
+"""Golden outputs of the combinatorial searches, the GHZ-dimension scan, the
+G(n, p) ensemble and the command-line front end.
 
 The Tutte matching search, the disjoint-matching search, the factorization
 enumerator and the target-state search each return the first answer they
@@ -17,6 +17,9 @@ import random
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph, QuantumState, vertex_names
+from photongraph.cli import main
+
+from fixt import double_edge, hall_fixture, k4_ghz, k6_factored, layered6, spider, w_state_target
 
 GOLDEN_SHA256 = "ec7d4f35c7a1812a80a89735628207a35059985f30a9445892721800ee9d7134"
 
@@ -137,3 +140,104 @@ def test_unit_target_outputs_golden():
     for target, max_edges in _targets():
         digest.update(repr(_outcome(pg.search_graph_for_state, _unit(target), max_edges=max_edges)).encode())
     assert digest.hexdigest() == UNIT_TARGET_GOLDEN_SHA256
+
+
+CLI_GOLDEN_SHA256 = "b5fbd4bd534ca517a9b698d741e080f8e3df65958896b66f0cc513dd736752df"
+
+
+def _cli_inputs() -> dict[str, str]:
+    ghz3 = QuantumState({(m,) * 4: 1 / math.sqrt(3) for m in range(3)})
+    bip = ExperimentGraph(
+        ["x1", "x2", "y1", "y2"], [Edge("a", "x1", "y1"), Edge("b", "x2", "y2"), Edge("c", "x1", "y2")]
+    )
+    graphs = {
+        "k4.graph": k4_ghz(),
+        "k4b.graph": k4_ghz(("e", "f", "g", "h")),
+        "k6.graph": pg.complete_graph(6),
+        "k12.graph": pg.complete_graph(12),
+        "tri.graph": pg.complete_graph(3),
+        "path3.graph": ExperimentGraph(["a", "b", "c"], [Edge("ab", "a", "b"), Edge("bc", "b", "c")]),
+        "fig6.graph": layered6(),
+        "merged.graph": pg.merge_graphs(k4_ghz(), k4_ghz(("e", "f", "g", "h")), [("d", "e")]),
+        "hall.graph": hall_fixture(),
+        "bip.graph": bip,
+        "spider.graph": spider(),
+        "double.graph": double_edge(),
+        "dark.graph": double_edge(math.pi),
+    }
+    docs = {name: pg.serialize_graph(g) for name, g in graphs.items()}
+    docs["k4.state"] = pg.serialize_state(pg.state_from_graph(k4_ghz(), normalize=True))
+    docs["w.state"] = pg.serialize_state(w_state_target())
+    docs["ghz3.state"] = pg.serialize_state(ghz3)
+    docs["k6f.plan"] = pg.serialize_plan(pg.synthesize_setup(k6_factored()))
+    docs["m.json"] = "[[0, 2], [2, 0]]"
+    docs["c.json"] = "[[[0.0, 1.0]]]"
+    docs["bad.graph"] = '{"vertices": ["a", "a"]}'
+    return docs
+
+
+_CLI_CALLS = [
+    ["matchings", "k4.graph"],
+    ["count", "k6.graph"],
+    ["count", "bip.graph"],
+    ["count", "merged.graph"],
+    ["count", "tri.graph"],
+    ["state", "fig6.graph", "--normalize"],
+    ["state", "merged.graph"],
+    ["state", "dark.graph"],
+    ["verify", "k4.graph", "k4.state"],
+    ["verify", "fig6.graph", "k4.state"],
+    ["search", "w.state"],
+    ["search", "ghz3.state", "--max-edges", "4"],
+    ["frustrate", "double.graph", "II", "--phases", "0,1.5,3.14159"],
+    ["frustrate", "k4.graph", "I", "--phases=-1,2"],
+    ["ghz-max", "k4.graph"],
+    ["factorize", "k4.graph"],
+    ["layers", "fig6.graph"],
+    ["check", "hall", "hall.graph"],
+    ["check", "hall", "bip.graph", "--parts-by-order"],
+    ["check", "hall", "k4.graph"],
+    ["check", "tutte", "spider.graph"],
+    ["check", "tutte", "k6.graph"],
+    ["hafnian", "k6.graph"],
+    ["hafnian", "m.json"],
+    ["permanent", "bip.graph"],
+    ["permanent", "c.json"],
+    ["merge", "k4.graph", "k4b.graph", "--pairs", "d:e"],
+    ["merge", "k4.graph", "k4b.graph", "--pairs", "d:e,", "-o", "out.graph"],
+    ["synth", "k6.graph"],
+    ["synth", "k4.graph", "-o", "out.plan", "--dot", "out.dot"],
+    ["unsynth", "k6f.plan"],
+    ["unsynth", "k6f.plan", "-o", "out.graph"],
+    ["random", "--n", "6", "--p", "0.3", "--p", "0.7", "--trials", "30", "--seed", "2"],
+    ["random", "--n", "4", "--p", "0.5", "--trials", "20", "--seed", "1", "--csv", "out.csv"],
+    ["dot", "k4.graph"],
+    # refusals: a parse error, domain errors, an io error and the scale guard
+    ["matchings", "bad.graph"],
+    ["state", "dark.graph", "--normalize"],
+    ["search", "w.state", "--max-edges", "-1"],
+    ["permanent", "path3.graph"],
+    ["merge", "k4.graph", "k4b.graph", "--pairs", "d-e"],
+    ["dot", "missing.graph"],
+    ["count", "k12.graph"],
+]
+
+
+def test_cli_outputs_golden(tmp_path, monkeypatch, capsys):
+    """Exit code, stdout, stderr and written files of ``cli.main`` for every
+    subcommand in both formats, including refusals, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in _cli_inputs().items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    inputs = set(tmp_path.iterdir())
+    digest = hashlib.sha256()
+    for argv in _CLI_CALLS:
+        for fmt in ("text", "structured"):
+            code = main(argv + ["--format", fmt])
+            captured = capsys.readouterr()
+            written = sorted(set(tmp_path.iterdir()) - inputs)
+            files = [(p.name, p.read_bytes()) for p in written]
+            for p in written:
+                p.unlink()
+            digest.update(repr((argv, fmt, code, captured.out, captured.err, files)).encode())
+    assert digest.hexdigest() == CLI_GOLDEN_SHA256
