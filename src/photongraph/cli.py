@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 scale-limit refusal.
 Errors print one line ``error: <reason-code>: <message>`` on stderr.
-``--format structured`` switches every subcommand to JSON output.
+``--format structured`` switches every subcommand to JSON output: each
+handler returns a structured payload and text lines, and ``main`` prints one.
 
 A call imports only the modules its subcommand runs: ``graph`` and
 ``errors`` always, and the kernel module (``matching``, ``states``,
@@ -64,71 +65,63 @@ def _ket_text(ket) -> str:
     return "|" + ",".join(str(m) for m in ket) + ">"
 
 
-def _emit(args, payload, text_lines):
-    if args.format == "structured":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _document(doc: str):
+    """A JSON document written by the library (graph, state or plan): both
+    formats print it as written."""
+    return doc, [doc.removesuffix("\n")]
+
+
+def _output(args, doc: str):
+    """Write ``doc`` to ``-o`` and report the path, or print the document."""
+    if not args.output:
+        return _document(doc)
+    Path(args.output).write_text(doc, encoding="utf-8")
+    return {"written": args.output}, [f"wrote {args.output}"]
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each returns (structured payload, text lines) for ``main`` to print
 # ---------------------------------------------------------------------------
 
-def _cmd_matchings(args) -> int:
+def _cmd_matchings(args):
     g = _load_graph(args.graph)
     pms = _kernel("matching").enumerate_pm(g, override_limits=args.limit_override)
-    _emit(
-        args,
-        [list(pm) for pm in pms],
-        [f"{len(pms)} matchings:"] + ["  " + " ".join(pm) for pm in pms],
-    )
-    return 0
+    return pms, [f"{len(pms)} matchings:"] + ["  " + " ".join(pm) for pm in pms]
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     g = _load_graph(args.graph)
     by_enum = len(_kernel("matching").enumerate_pm(g, override_limits=args.limit_override))
     payload = {"enumeration": by_enum, "hafnian": None, "permanent": None}
-    lines = [f"enumeration: {by_enum}"]
     # matrix kernels count plain perfect matchings: defined for unmeasured
     # graphs of even order only
     if not g.measured and len(g.vertices) % 2 == 0:
-        by_hafnian, perm = _kernel("counting").matrix_counts(g, override_limits=args.limit_override)
-        payload["hafnian"] = by_hafnian
-        lines.append(f"hafnian: {by_hafnian}")
-        if perm is not None:
-            payload["permanent"] = perm
-            lines.append(f"permanent: {perm}")
-    _emit(args, payload, lines)
-    return 0
+        counts = _kernel("counting").matrix_counts(g, override_limits=args.limit_override)
+        payload["hafnian"], payload["permanent"] = counts
+    return payload, [f"{key}: {value}" for key, value in payload.items() if value is not None]
 
 
-def _cmd_state(args) -> int:
+def _cmd_state(args):
     g = _load_graph(args.graph)
     states = _kernel("states")
     state = states.state_from_graph(
         g, normalize=args.normalize, override_limits=args.limit_override
     )
-    payload = json.loads(states.serialize_state(state))
     lines = [
         f"{_amp_text(amp)} {_ket_text(ket)}" for ket, amp in state.sorted_terms()
     ]
-    _emit(args, payload, lines or ["(no terms)"])
-    return 0
+    return states.serialize_state(state), lines or ["(no terms)"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     g = _load_graph(args.graph)
     states = _kernel("states")
     target = states.parse_state(_read(args.state))
     match = states.verify_target(g, target, override_limits=args.limit_override)
-    _emit(args, {"match": match}, ["MATCH" if match else "MISMATCH"])
-    return 0
+    return {"match": match}, ["MATCH" if match else "MISMATCH"]
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     states = _kernel("states")
     target = states.parse_state(_read(args.state))
     found = states.search_graph_for_state(
@@ -138,68 +131,49 @@ def _cmd_search(args) -> int:
         max_parallel=args.max_parallel,
     )
     if found is None:
-        _emit(args, None, ["none found within bounds"])
-    else:
-        doc = serialize_graph(found)
-        _emit(args, json.loads(doc), [doc.rstrip("\n")])
-    return 0
+        return None, ["none found within bounds"]
+    return _document(serialize_graph(found))
 
 
-def _cmd_frustrate(args) -> int:
+def _cmd_frustrate(args):
     g = _load_graph(args.graph)
     rows = _kernel("states").frustration_scan(
         g, args.edge, args.phases, override_limits=args.limit_override
     )
-    _emit(
-        args,
-        [[phase, intensity] for phase, intensity in rows],
-        [f"phase={phase:.10g} intensity={intensity:.10g}" for phase, intensity in rows],
-    )
-    return 0
+    return rows, [f"phase={phase:.10g} intensity={intensity:.10g}" for phase, intensity in rows]
 
 
-def _cmd_ghz_max(args) -> int:
+def _cmd_ghz_max(args):
     g = _load_graph(args.graph)
     d, witness = _kernel("matching").max_disjoint_pms(g, override_limits=args.limit_override)
-    _emit(
-        args,
-        {"d": d, "witness": [list(pm) for pm in witness]},
-        [f"d = {d}"] + ["  " + " ".join(pm) for pm in witness],
-    )
-    return 0
+    return {"d": d, "witness": witness}, [f"d = {d}"] + ["  " + " ".join(pm) for pm in witness]
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args):
     g = _load_graph(args.graph)
     factorizations = _kernel("matching").enumerate_factorizations(
         g, override_limits=args.limit_override
     )
-    payload = [[list(f) for f in fz.factors] for fz in factorizations]
     lines = [f"{len(factorizations)} factorizations:"]
     for i, fz in enumerate(factorizations):
         lines.append(f"  #{i}: " + " | ".join(" ".join(f) for f in fz.factors))
-    _emit(args, payload, lines)
-    return 0
+    return [fz.factors for fz in factorizations], lines
 
 
-def _cmd_layers(args) -> int:
+def _cmd_layers(args):
     g = _load_graph(args.graph)
     report = _kernel("matching").classify_layers(g, override_limits=args.limit_override)
-    payload = {
-        "layers": [list(pm) for pm in report.layer_matchings],
-        "mavericks": [list(pm) for pm in report.maverick_matchings],
-    }
+    payload = {"layers": report.layer_matchings, "mavericks": report.maverick_matchings}
     lines = [
         f"{len(report.layer_matchings)} layer matchings, "
         f"{len(report.maverick_matchings)} maverick matchings"
     ]
     lines += ["  layer:    " + " ".join(pm) for pm in report.layer_matchings]
     lines += ["  maverick: " + " ".join(pm) for pm in report.maverick_matchings]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     g = _load_graph(args.graph)
     feasibility = _kernel("feasibility")
     if args.criterion == "hall":
@@ -212,45 +186,19 @@ def _cmd_check(args) -> int:
         result = feasibility.tutte_check(g)
 
     if isinstance(result, tuple):
-        _emit(
-            args,
-            {"exists": True, "matching": list(result)},
-            ["perfect matching exists: " + " ".join(result)],
-        )
-    elif isinstance(result, feasibility.HallWitness):
-        _emit(
-            args,
-            {
-                "exists": False,
-                "witness": {
-                    "subset_w": list(result.subset_w),
-                    "neighborhood": list(result.neighborhood),
-                },
-            },
-            [
-                "no perfect matching",
-                "  W = {" + ", ".join(result.subset_w) + "}",
-                "  N(W) = {" + ", ".join(result.neighborhood) + "}",
-            ],
-        )
+        return {"exists": True, "matching": result}, ["perfect matching exists: " + " ".join(result)]
+    if isinstance(result, feasibility.HallWitness):
+        lines = [
+            "  W = {" + ", ".join(result.subset_w) + "}",
+            "  N(W) = {" + ", ".join(result.neighborhood) + "}",
+        ]
     else:
-        _emit(
-            args,
-            {
-                "exists": False,
-                "witness": {
-                    "subset_u": list(result.subset_u),
-                    "odd_components": [list(c) for c in result.odd_components],
-                },
-            },
-            [
-                "no perfect matching",
-                "  U = {" + ", ".join(result.subset_u) + "}",
-                f"  odd components ({len(result.odd_components)}): "
-                + "; ".join("{" + ", ".join(c) + "}" for c in result.odd_components),
-            ],
-        )
-    return 0
+        lines = [
+            "  U = {" + ", ".join(result.subset_u) + "}",
+            f"  odd components ({len(result.odd_components)}): "
+            + "; ".join("{" + ", ".join(c) + "}" for c in result.odd_components),
+        ]
+    return {"exists": False, "witness": vars(result)}, ["no perfect matching"] + lines
 
 
 def _load_matrix(path: str):
@@ -277,25 +225,20 @@ def _matrix_entry(raw, location: str):
     return _float_value(raw, location)
 
 
-def _matrix_result(args, value) -> int:
+def _matrix_result(value):
     if isinstance(value, complex):
-        payload = [value.real, value.imag]
-        text = _amp_text(value)
-    else:
-        payload = value
-        text = str(value)
-    _emit(args, payload, [text])
-    return 0
+        return [value.real, value.imag], [_amp_text(value)]
+    return value, [str(value)]
 
 
-def _cmd_hafnian(args) -> int:
+def _cmd_hafnian(args):
     g, matrix = _load_matrix(args.file)
     if g is not None:
         matrix = g.adjacency()
-    return _matrix_result(args, _kernel("counting").hafnian(matrix, override_limits=args.limit_override))
+    return _matrix_result(_kernel("counting").hafnian(matrix, override_limits=args.limit_override))
 
 
-def _cmd_permanent(args) -> int:
+def _cmd_permanent(args):
     g, matrix = _load_matrix(args.file)
     if g is not None:
         bi = g.biadjacency()
@@ -304,10 +247,10 @@ def _cmd_permanent(args) -> int:
                 "biadjacency is not square; permanent undefined", reason="unequal-parts"
             )
         matrix = [list(r) for r in bi.entries]
-    return _matrix_result(args, _kernel("counting").permanent(matrix, override_limits=args.limit_override))
+    return _matrix_result(_kernel("counting").permanent(matrix, override_limits=args.limit_override))
 
 
-def _cmd_merge(args) -> int:
+def _cmd_merge(args):
     g1 = _load_graph(args.graph1)
     g2 = _load_graph(args.graph2)
     pairs = []
@@ -319,17 +262,10 @@ def _cmd_merge(args) -> int:
             raise PhotonGraphError(f"pair {chunk!r} must look like a:b", reason="parse-error")
         a, b = chunk.split(":", 1)
         pairs.append((a.strip(), b.strip()))
-    merged = merge_graphs(g1, g2, pairs)
-    doc = serialize_graph(merged)
-    if args.output:
-        Path(args.output).write_text(doc, encoding="utf-8")
-        _emit(args, {"written": args.output}, [f"wrote {args.output}"])
-    else:
-        _emit(args, json.loads(doc), [doc.rstrip("\n")])
-    return 0
+    return _output(args, serialize_graph(merge_graphs(g1, g2, pairs)))
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args):
     g = _load_graph(args.graph)
     compiler = _kernel("compiler")
     plan = compiler.synthesize_setup(g)
@@ -338,41 +274,20 @@ def _cmd_synth(args) -> int:
         Path(args.output).write_text(doc, encoding="utf-8")
     if args.dot:
         Path(args.dot).write_text(to_dot(g), encoding="utf-8")
-    if args.format == "structured":
-        _emit(args, json.loads(doc), [])
-    else:
-        print(compiler.render_plan(plan), end="")
-    return 0
+    return doc, [compiler.render_plan(plan).removesuffix("\n")]
 
 
-def _cmd_unsynth(args) -> int:
+def _cmd_unsynth(args):
     compiler = _kernel("compiler")
     plan = compiler.parse_plan(_read(args.plan))
-    doc = serialize_graph(compiler.plan_to_graph(plan))
-    if args.output:
-        Path(args.output).write_text(doc, encoding="utf-8")
-        _emit(args, {"written": args.output}, [f"wrote {args.output}"])
-    else:
-        _emit(args, json.loads(doc), [doc.rstrip("\n")])
-    return 0
+    return _output(args, serialize_graph(compiler.plan_to_graph(plan)))
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args):
     networks = _kernel("networks")
     reports = networks.ensemble_scan(
         args.n, args.p, args.trials, args.seed, workers=args.threads
     )
-    payload = [
-        {
-            "n": r.n,
-            "p": r.p,
-            "trials": r.trials,
-            "seed": r.seed,
-            "pm_exists_fraction": r.pm_exists_fraction,
-            "pm_count_histogram": {str(k): v for k, v in r.pm_count_histogram.items()},
-        }
-        for r in reports
-    ]
     lines = [
         f"p={r.p:g} pm_exists_fraction={r.pm_exists_fraction:.6f} "
         f"buckets={len(r.pm_count_histogram)}"
@@ -380,20 +295,16 @@ def _cmd_random(args) -> int:
     ]
     if args.csv:
         rows = networks.report_csv_rows(reports)
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("p,fraction,count,frequency\n")
-            for p, fraction, count, freq in rows:
-                fh.write(f"{p:g},{fraction:.10g},{count},{freq}\n")
+        csv = [f"{p:g},{fraction:.10g},{count},{freq}\n" for p, fraction, count, freq in rows]
+        Path(args.csv).write_text("p,fraction,count,frequency\n" + "".join(csv), encoding="utf-8")
         lines.append(f"wrote {args.csv}")
-    _emit(args, payload, lines)
-    return 0
+    return [vars(r) for r in reports], lines
 
 
-def _cmd_dot(args) -> int:
+def _cmd_dot(args):
     g = _load_graph(args.graph)
     text = to_dot(g)
-    _emit(args, {"dot": text}, [text.rstrip("\n")])
-    return 0
+    return {"dot": text}, [text.rstrip("\n")]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frustrate", parents=[guarded], help="sweep one edge's phase, report intensity")
     p.add_argument("graph")
     p.add_argument("edge")
-    p.add_argument("--phases", type=_phase_list, required=True, help="comma-separated radians")
+    p.add_argument(
+        "--phases", type=_phase_list, required=True,
+        help="comma-separated radians; write --phases=-1,2 when the list starts with a negative number",
+    )
     p.set_defaults(handler=_cmd_frustrate)
 
     p = sub.add_parser("ghz-max", parents=[guarded], help="largest set of pairwise disjoint matchings")
@@ -528,9 +442,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        payload, lines = args.handler(args)
+        if args.format == "structured":
+            # a string payload is a library document, printed as written
+            text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+            lines = [text.removesuffix("\n")]
+        for line in lines:
+            print(line)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # The reader closed stdout early (`| head`); send what is still
         # buffered to devnull so the flush at exit cannot raise again.
