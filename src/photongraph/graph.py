@@ -346,13 +346,16 @@ def _read_edge(rec, loc: str, vertices, ids: set[str], default_id: str | None = 
     layer = rec.get("layer")
     if layer is not None and not (isinstance(layer, int) and not isinstance(layer, bool) and layer >= 0):
         raise GraphParseError("layer must be a nonnegative integer", location=f"{loc}.layer")
+    amp_mag = _float_value(rec.get("amp_mag", 1.0), f"{loc}.amp_mag")
+    if amp_mag < 0:
+        raise GraphParseError("amp_mag must be >= 0", location=f"{loc}.amp_mag")
     return Edge(
         id=edge_id,
         u=rec["u"],
         v=rec["v"],
         mode_u=_mode_value(rec.get("mode_u", 0), f"{loc}.mode_u"),
         mode_v=_mode_value(rec.get("mode_v", 0), f"{loc}.mode_v"),
-        amp_mag=_float_value(rec.get("amp_mag", 1.0), f"{loc}.amp_mag"),
+        amp_mag=amp_mag,
         amp_phase_rad=_float_value(rec.get("amp_phase_rad", 0.0), f"{loc}.amp_phase_rad"),
         layer=layer,
     )

@@ -260,6 +260,8 @@ def test_render_plan_lists_crystals_by_layer():
         ({"layers": [[{"u": "a", "v": "b"}]]}, "layers[0][0]"),
         ({"detectors": ["a", "a"]}, "detectors[1]"),
         ({"layers": [[{"id": "x", "u": "a", "v": "b", "amp_phase_rad": 10**400}]]}, "layers[0][0].amp_phase_rad"),
+        ({"layers": [[{"id": "x", "u": "a", "v": "b"}, {"id": "y", "u": "a", "v": "b", "amp_mag": -0.5}]]},
+         "layers[0][1].amp_mag"),
     ],
 )
 def test_malformed_plans_rejected_with_location(change, location):

@@ -65,6 +65,8 @@ def test_parse_self_loop_rejected():
         pytest.param('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "amp_mag": 1' + "0" * 400 + "}]}",
                      "edges[0].amp_mag: number must be finite", id="integer-beyond-double"),
         pytest.param("[" * 200000 + "]" * 200000, "<document>: invalid JSON", id="nested-too-deeply"),
+        pytest.param('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "amp_mag": -1}]}',
+                     "edges[0].amp_mag: amp_mag must be >= 0", id="negative-amp-mag"),
     ],
 )
 def test_parse_errors_carry_location(doc, fragment):
