@@ -161,6 +161,10 @@ def test_frustrate(capsys, tmp_path):
     assert code == 0
     assert "intensity=4" in out
     assert "intensity=0" in out
+    # a list that starts with a negative number needs the `=` form
+    code, out = run(capsys, "frustrate", str(path), "II", "--phases=-1,2")
+    assert code == 0
+    assert out.startswith("phase=-1 intensity=") and "phase=2 intensity=" in out
 
 
 def test_ghz_max(capsys, k4_file):
