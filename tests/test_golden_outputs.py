@@ -142,6 +142,76 @@ def test_unit_target_outputs_golden():
     assert digest.hexdigest() == UNIT_TARGET_GOLDEN_SHA256
 
 
+STATE_DOCUMENTS_GOLDEN_SHA256 = "112853a21e2e7fb5f92413e8130c250449d4e2c10fc8a147cf5b99964dbdcb90"
+
+
+def _weighted_complete(n: int, modes: int, rng: random.Random) -> ExperimentGraph:
+    """K_n with seeded endpoint modes in [0, modes), magnitudes and phases."""
+    names = vertex_names(n)
+    edges = [
+        Edge(f"e{i}.{j}", names[i], names[j], rng.randrange(modes), rng.randrange(modes),
+             rng.uniform(0.1, 2.0), rng.uniform(-math.pi, math.pi))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    return ExperimentGraph(names, edges)
+
+
+# A state document with integer and default amplitude fields.
+_INTEGER_STATE_DOCUMENT = '[{"modes": [1, 0], "amp_mag": 2, "amp_phase_rad": 3}, {"modes": [0, 1]}]'
+
+# Malformed state documents, each refused with one located message.
+_BAD_STATE_DOCUMENTS = [
+    "[3]",
+    '[{"modes": [0]}, [0]]',
+    '[{"amp_mag": 1.0}]',
+    '[{"modes": 0}]',
+    '[{"modes": {"0": 0}}]',
+    '[{"modes": [0, -1]}]',
+    '[{"modes": [true]}]',
+    '[{"modes": [1.0]}]',
+    '[{"modes": [0, 0]}, {"modes": [0]}]',
+    '[{"modes": [0]}, {"modes": [1, 2]}]',
+    '[{"modes": [0, 1]}, {"modes": [1, 0]}, {"modes": [0, 1]}]',
+    '[{"modes": []}, {"modes": []}]',
+    '[{"modes": [0], "amp_mag": "1"}]',
+    '[{"modes": [0], "amp_mag": -1.0}]',
+    '[{"modes": [0], "amp_mag": 1e400}]',
+    '[{"modes": [0], "amp_mag": 1' + "0" * 400 + "}]",
+    '[{"modes": [0], "amp_mag": NaN}]',
+    '[{"modes": [0], "amp_mag": null}]',
+    '[{"modes": [0], "amp_phase_rad": Infinity}]',
+    '[{"modes": [0], "amp_phase_rad": true}]',
+    '[{"modes": [0], "amp_mag": -1.0, "amp_phase_rad": "x"}]',
+    '{"modes": [0]}',
+    "[",
+]
+
+
+def test_state_documents_golden():
+    """``serialize_state`` of normalized and unnormalized states of seeded
+    multi-mode complete graphs and of those documents read back, byte for
+    byte, and the located message ``parse_state`` gives for each malformed
+    document."""
+    digest = hashlib.sha256()
+    rng = random.Random(7)
+    for n, modes in ((8, 1), (8, 2), (8, 3), (10, 2), (12, 3)):
+        g = _weighted_complete(n, modes, rng)
+        for normalize in (False, True):
+            text = pg.serialize_state(pg.state_from_graph(g, normalize, override_limits=True))
+            digest.update(text.encode())
+            digest.update(pg.serialize_state(pg.parse_state(text)).encode())
+    digest.update(pg.serialize_state(pg.parse_state(_INTEGER_STATE_DOCUMENT)).encode())
+    for text in _BAD_STATE_DOCUMENTS:
+        try:
+            pg.parse_state(text)
+        except pg.GraphParseError as exc:
+            digest.update(repr((text, exc.location, str(exc))).encode())
+        else:
+            raise AssertionError(f"parse_state accepted {text!r}")
+    assert digest.hexdigest() == STATE_DOCUMENTS_GOLDEN_SHA256
+
+
 CLI_GOLDEN_SHA256 = "b5fbd4bd534ca517a9b698d741e080f8e3df65958896b66f0cc513dd736752df"
 
 
