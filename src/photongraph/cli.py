@@ -44,11 +44,19 @@ def _kernel(name: str):
     return kernel if kernel is not None else __getattr__(name)
 
 
+# A ValueError is an undecodable file or a NUL byte in the path.
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise PhotonGraphError(f"cannot read {path}: {exc}", reason="io-error") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise PhotonGraphError(f"cannot write {path}: {exc}", reason="io-error") from None
 
 
 def _load_graph(path: str):
@@ -75,12 +83,13 @@ def _output(args, doc: str):
     """Write ``doc`` to ``-o`` and report the path, or print the document."""
     if not args.output:
         return _document(doc)
-    Path(args.output).write_text(doc, encoding="utf-8")
+    _write(args.output, doc)
     return {"written": args.output}, [f"wrote {args.output}"]
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (structured payload, text lines) for ``main`` to print
+# handlers: each returns (structured payload, text lines) for ``main`` to print;
+# where a view is costly, only the one ``--format`` asks for is built
 # ---------------------------------------------------------------------------
 
 def _cmd_matchings(args):
@@ -107,10 +116,11 @@ def _cmd_state(args):
     state = states.state_from_graph(
         g, normalize=args.normalize, override_limits=args.limit_override
     )
-    lines = [
-        f"{_amp_text(amp)} {_ket_text(ket)}" for ket, amp in state.sorted_terms()
-    ]
-    return states.serialize_state(state), lines or ["(no terms)"]
+    # Build only the view that --format prints.
+    if args.format == "structured":
+        return states.serialize_state(state), None
+    lines = [f"{_amp_text(amp)} {_ket_text(ket)}" for ket, amp in state.sorted_terms()]
+    return None, lines or ["(no terms)"]
 
 
 def _cmd_verify(args):
@@ -271,9 +281,9 @@ def _cmd_synth(args):
     plan = compiler.synthesize_setup(g)
     doc = compiler.serialize_plan(plan)
     if args.output:
-        Path(args.output).write_text(doc, encoding="utf-8")
+        _write(args.output, doc)
     if args.dot:
-        Path(args.dot).write_text(to_dot(g), encoding="utf-8")
+        _write(args.dot, to_dot(g))
     return doc, [compiler.render_plan(plan).removesuffix("\n")]
 
 
@@ -296,7 +306,7 @@ def _cmd_random(args):
     if args.csv:
         rows = networks.report_csv_rows(reports)
         csv = [f"{p:g},{fraction:.10g},{count},{freq}\n" for p, fraction, count, freq in rows]
-        Path(args.csv).write_text("p,fraction,count,frequency\n" + "".join(csv), encoding="utf-8")
+        _write(args.csv, "p,fraction,count,frequency\n" + "".join(csv))
         lines.append(f"wrote {args.csv}")
     return [vars(r) for r in reports], lines
 

@@ -22,13 +22,12 @@ positive real axis.  The scale guard is the enumeration guard of
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import DomainError, FullyFrustratedError, GraphParseError
-from .graph import Edge, ExperimentGraph, _expect, _float_value, _mode_value, _parse_json, vertex_names
+from .graph import Edge, ExperimentGraph, _expect, _float_value, _parse_json, vertex_names
 from .matching import _check_scale, _covers
 
 __all__ = [
@@ -71,12 +70,11 @@ class QuantumState:
         """Prune, then rotate the global phase so the first surviving
         amplitude (in ket order) is positive real."""
         state = self.pruned()
-        for _, amp in state.sorted_terms():
-            rotation = abs(amp) / amp
-            return QuantumState(
-                {k: a * rotation for k, a in state.terms.items()}, state.normalized
-            )
-        return state
+        if not state.terms:
+            return state
+        amp = state.terms[min(state.terms)]
+        rotation = abs(amp) / amp
+        return QuantumState({k: a * rotation for k, a in state.terms.items()}, state.normalized)
 
 
 def states_equal(s1: QuantumState, s2: QuantumState, tol: float = AMP_TOL) -> bool:
@@ -492,37 +490,54 @@ def search_graph_for_state(
 # ---------------------------------------------------------------------------
 
 def serialize_state(state: QuantumState) -> str:
-    """Canonical state document: a JSON list of term objects sorted by ket."""
-    records = []
-    for ket, amp in state.sorted_terms():
-        records.append(
-            {
-                "modes": list(ket),
-                "amp_mag": abs(amp),
-                "amp_phase_rad": cmath.phase(amp),
-            }
-        )
-    return json.dumps(records, indent=2) + "\n"
+    """Canonical state document: a JSON list of term objects sorted by ket,
+    laid out as ``json.dumps(records, indent=2)`` by one template per ket
+    length; ``%r`` of a finite float is what ``json`` writes, and ``atan2``
+    is ``cmath.phase`` without its error where the angle underflows."""
+    terms = state.sorted_terms()
+    try:
+        mags = [abs(amp) for _, amp in terms]
+    except OverflowError:
+        mags = [math.inf]
+    if not all(map(math.isfinite, mags)):  # NaN or Infinity would not read back
+        raise DomainError("a state amplitude is not a finite number", reason="overflow")
+    templates = {}
+    for n in {len(ket) for ket in state.terms}:
+        modes = "\n" + ",\n".join(["      %d"] * n) + "\n    " if n else ""
+        templates[n] = '  {\n    "modes": [' + modes + '],\n    "amp_mag": %r,\n    "amp_phase_rad": %r\n  }'
+    rows = [
+        templates[len(ket)] % (*ket, mag, math.atan2(amp.imag, amp.real)) for (ket, amp), mag in zip(terms, mags)
+    ]
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def parse_state(text: str) -> QuantumState:
+    """A state document read back; a term's first fault is a located
+    ``GraphParseError``, whose location is formatted only then."""
     doc = _parse_json(text, "<state>")
     _expect(isinstance(doc, list), "state document must be a list of terms", "<state>")
     terms: dict[Ket, complex] = {}
     length = None
     for i, rec in enumerate(doc):
-        loc = f"terms[{i}]"
-        _expect(isinstance(rec, dict) and "modes" in rec, "term must be an object with a modes list", loc)
-        modes_loc = f"{loc}.modes"
-        _expect(isinstance(rec["modes"], list), "modes must be a list of nonnegative integers", modes_loc)
-        ket = tuple(_mode_value(m, modes_loc) for m in rec["modes"])
-        if length is None:
-            length = len(ket)
-        _expect(len(ket) == length, "all terms must have the same ket length", modes_loc)
+        if type(rec) is not dict or "modes" not in rec:
+            raise GraphParseError("term must be an object with a modes list", location=f"terms[{i}]")
+        modes = rec["modes"]
+        if type(modes) is not list:
+            raise GraphParseError("modes must be a list of nonnegative integers", location=f"terms[{i}].modes")
+        if not all(type(m) is int and m >= 0 for m in modes):
+            raise GraphParseError("mode must be a nonnegative integer", location=f"terms[{i}].modes")
+        ket = tuple(modes)
+        length = len(ket) if length is None else length
+        if len(ket) != length:
+            raise GraphParseError("all terms must have the same ket length", location=f"terms[{i}].modes")
         if ket in terms:
-            raise GraphParseError(f"duplicate ket {list(ket)}", location=modes_loc)
-        mag = _float_value(rec.get("amp_mag", 1.0), f"{loc}.amp_mag")
-        phase = _float_value(rec.get("amp_phase_rad", 0.0), f"{loc}.amp_phase_rad")
-        _expect(mag >= 0, "amp_mag must be >= 0", f"{loc}.amp_mag")
+            raise GraphParseError(f"duplicate ket {modes}", location=f"terms[{i}].modes")
+        mag, phase = rec.get("amp_mag", 1.0), rec.get("amp_phase_rad", 0.0)
+        if type(mag) is not float or not -math.inf < mag < math.inf:
+            mag = _float_value(mag, f"terms[{i}].amp_mag")
+        if type(phase) is not float or not -math.inf < phase < math.inf:
+            phase = _float_value(phase, f"terms[{i}].amp_phase_rad")
+        if mag < 0:
+            raise GraphParseError("amp_mag must be >= 0", location=f"terms[{i}].amp_mag")
         terms[ket] = cmath.rect(mag, phase)
     return QuantumState(terms)

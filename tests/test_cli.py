@@ -475,6 +475,35 @@ def test_unreadable_document_is_one_error_line(capsys, tmp_path, k4_file, argv, 
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["state", "a\x00b"], "error: io-error: cannot read a\x00b: embedded null byte"),
+        (["merge", "{k4}", "{k4b}", "--pairs", "d:e", "-o", "o\x00.graph"], "error: io-error: cannot write o\x00.graph: "),
+        (["synth", "{k4}", "--dot", "{tmp}/no/such/dir.dot"], "error: io-error: cannot write {tmp}/no/such/dir.dot: "),
+    ],
+    ids=["read-nul", "write-nul", "write-missing-dir"],
+)
+def test_bad_path_is_one_io_error_line(capsys, tmp_path, k4_file, argv, message):
+    k4b = tmp_path / "k4b.graph"
+    k4b.write_text(pg.serialize_graph(k4_ghz(("e", "f", "g", "h"))), encoding="utf-8")
+    fill = {"k4": k4_file, "k4b": str(k4b), "tmp": str(tmp_path)}
+    assert main([a.format(**fill) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message.format(**fill))
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_text_state_does_not_serialize(capsys, monkeypatch, fig6_file):
+    def refuse(state):
+        raise AssertionError("text mode serialized the state")
+
+    monkeypatch.setattr(pg.states, "serialize_state", refuse)
+    code, out = run(capsys, "state", fig6_file, "--normalize")
+    assert code == 0
+    assert out.splitlines()[0] == "0.5 |0,0,0,0,0,0>"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["frustrate", "{k4}", "I", "--phases", "abc"],

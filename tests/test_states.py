@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 
@@ -313,6 +314,51 @@ def test_state_file_round_trip():
     back = pg.parse_state(text)
     assert pg.states_equal(state, back)
     assert pg.serialize_state(back) == text
+
+
+# Amplitudes at the edges of the double range: signed zeros, subnormals and
+# magnitudes near the largest double.
+_EDGE_AMPLITUDES = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324,
+                    complex(-5e-324, 5e-324), 2.2250738585072014e-308, 1e308, complex(-1e308, -1e-300),
+                    complex(1.2e308, 1.2e308), -1.7976931348623157e308]
+_amplitudes = st.one_of(
+    st.sampled_from(_EDGE_AMPLITUDES),
+    st.complex_numbers(max_magnitude=1.7e308, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.lists(st.integers(min_value=0, max_value=12), max_size=6).map(tuple), _amplitudes, max_size=12
+    )
+)
+def test_serialize_state_writes_what_json_writes(terms):
+    # cmath.phase raises where the angle underflows; atan2 gives 0.0 there.
+    records = [
+        {"modes": list(ket), "amp_mag": abs(amp), "amp_phase_rad": math.atan2(amp.imag, amp.real)}
+        for ket, amp in sorted(terms.items())
+    ]
+    assert pg.serialize_state(QuantumState(terms)) == json.dumps(records, indent=2) + "\n"
+
+
+def test_serialize_state_writes_a_phase_that_underflows():
+    """A ket whose imaginary part is below the smallest double relative to
+    its real part has phase 0.0; ``cmath.phase`` raises there."""
+    edges = [Edge("e", "a", "b", amp_mag=1e30), Edge("f", "a", "b", amp_mag=1e-300, amp_phase_rad=math.pi / 2)]
+    state = pg.state_from_graph(ExperimentGraph(["a", "b"], edges))
+    back = pg.parse_state(pg.serialize_state(state))
+    assert back.terms == {(0, 0): 1e30}
+
+
+@pytest.mark.parametrize(
+    "amp", [complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf, complex(1.7e308, 1.7e308)]
+)
+def test_serialize_state_refuses_what_it_cannot_read_back(amp):
+    state = QuantumState({(0, 1): 0.5, (1, 0): amp})
+    with pytest.raises(pg.DomainError) as err:
+        pg.serialize_state(state)
+    assert err.value.reason == "overflow"
 
 
 def test_parse_state_rejects_ragged_kets():
