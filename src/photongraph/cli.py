@@ -116,7 +116,6 @@ def _cmd_state(args):
     state = states.state_from_graph(
         g, normalize=args.normalize, override_limits=args.limit_override
     )
-    # Build only the view that --format prints.
     if args.format == "structured":
         return states.serialize_state(state), None
     lines = [f"{_amp_text(amp)} {_ket_text(ket)}" for ket, amp in state.sorted_terms()]

@@ -478,8 +478,10 @@ def test_unreadable_document_is_one_error_line(capsys, tmp_path, k4_file, argv, 
     "argv, message",
     [
         (["state", "a\x00b"], "error: io-error: cannot read a\x00b: embedded null byte"),
-        (["merge", "{k4}", "{k4b}", "--pairs", "d:e", "-o", "o\x00.graph"], "error: io-error: cannot write o\x00.graph: "),
-        (["synth", "{k4}", "--dot", "{tmp}/no/such/dir.dot"], "error: io-error: cannot write {tmp}/no/such/dir.dot: "),
+        (["merge", "{k4}", "{k4b}", "--pairs", "d:e", "-o", "o\x00.graph"],
+         "error: io-error: cannot write o\x00.graph: "),
+        (["synth", "{k4}", "--dot", "{tmp}/no/such/dir.dot"],
+         "error: io-error: cannot write {tmp}/no/such/dir.dot: "),
     ],
     ids=["read-nul", "write-nul", "write-missing-dir"],
 )

@@ -318,7 +318,7 @@ def test_state_file_round_trip():
 
 # Amplitudes at the edges of the double range: signed zeros, subnormals and
 # magnitudes near the largest double.
-_EDGE_AMPLITUDES = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324,
+_EDGE_AMPLITUDES = [0j, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324,
                     complex(-5e-324, 5e-324), 2.2250738585072014e-308, 1e308, complex(-1e308, -1e-300),
                     complex(1.2e308, 1.2e308), -1.7976931348623157e308]
 _amplitudes = st.one_of(
