@@ -114,6 +114,36 @@ def test_ghz_scan_outputs_golden():
     assert digest.hexdigest() == GHZ_SCAN_GOLDEN_SHA256
 
 
+COVER_WALK_GOLDEN_SHA256 = "2b557d5bb5a3762061797f06a4f6614a9dd1f5424465dbf78e526850c1221efb"
+
+
+def _layered_complete(n: int) -> ExperimentGraph:
+    """K_n tagged with its round-robin 1-factorization: vertex n - 1 stays,
+    the others rotate, and round r pumps modes (r, r)."""
+    names = vertex_names(n)
+    edges = []
+    for r in range(n - 1):
+        pairs = [(r, n - 1)] + [((r + k) % (n - 1), (r - k) % (n - 1)) for k in range(1, n // 2)]
+        for i, j in pairs:
+            i, j = min(i, j), max(i, j)
+            edges.append(Edge(f"r{r}.{i}.{j}", names[i], names[j], r, r, layer=r))
+    return ExperimentGraph(names, edges)
+
+
+def test_cover_walk_golden():
+    """Every cover, in order, that ``enumerate_pm`` lists for the search-golden
+    graphs (measured multigraphs with parallel edges among them) and for K10
+    and K12 past the guard, and the layer split of layered K6 and K8."""
+    digest = hashlib.sha256()
+    for g in _graphs():
+        digest.update(repr(_outcome(pg.enumerate_pm, g)).encode())
+    for n in (10, 12):
+        digest.update(repr(pg.enumerate_pm(pg.complete_graph(n), override_limits=True)).encode())
+    for n in (6, 8):
+        digest.update(repr(pg.classify_layers(_layered_complete(n))).encode())
+    assert digest.hexdigest() == COVER_WALK_GOLDEN_SHA256
+
+
 UNIT_TARGET_GOLDEN_SHA256 = "3ca1443ca5997e4295f3ac029b32a432ce58e47398c79e66e4bae3803932b739"
 
 

@@ -143,6 +143,23 @@ def test_enumeration_matches_brute_force_on_measured_multigraphs(g):
     assert pg.enumerate_pm(g) == brute_force_covers(g)
 
 
+@pytest.mark.parametrize(
+    "measured, edges, expected",
+    [
+        # Both parallel edges would reach plain b twice: no cover.
+        ("a", [("x", "a", "b"), ("y", "a", "b"), ("z", "b", "c"), ("u", "b", "d")], []),
+        # The parallel pair is skipped, the pair through c is kept.
+        ("a", [("x", "a", "b"), ("y", "a", "b"), ("z", "a", "c")], [("x", "z"), ("y", "z")]),
+        # Two measured ends take both parallel edges: one cover.
+        ("ab", [("x", "a", "b"), ("y", "a", "b")], [("x", "y")]),
+    ],
+)
+def test_parallel_pair_at_a_measured_vertex(measured, edges, expected):
+    names = sorted({v for _, u, w in edges for v in (u, w)})
+    g = ExperimentGraph(names, [Edge(i, u, w) for i, u, w in edges], list(measured))
+    assert pg.enumerate_pm(g) == brute_force_covers(g) == expected
+
+
 @given(disjointness_graphs())
 @settings(max_examples=150, deadline=None)
 def test_max_disjoint_matches_oracle(g):
