@@ -6,7 +6,8 @@ vertices absorb two photons and must be covered exactly twice; covers of
 graphs with measured vertices are called coincidence covers.  One walk,
 ``_covers``, lists them all: it covers the lowest vertex still in need
 completely at each step, so each cover appears once.  The GHZ-dimension
-scan and the target search take the pairings of K_n from the same walk.
+scan and the target search take the pairings of K_n from the same walk;
+1-factorizations are searched over bitsets of the candidate matchings.
 
 Counting perfect matchings is #P-complete, so every operation here is an
 exact exponential algorithm behind an explicit scale guard.  The default
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .errors import DomainError, ScaleLimitError
-from .graph import Edge, ExperimentGraph, _graph_from_pairs
+from .graph import ExperimentGraph, _graph_from_pairs
 
 __all__ = [
     "Matching",
@@ -76,27 +78,17 @@ def _check_scale(g: ExperimentGraph, override_limits: bool):
         )
 
 
-def _sorted_edges(g: ExperimentGraph) -> list[Edge]:
-    return sorted(g.edges, key=lambda e: e.id)
-
-
-def _edge_masks(g: ExperimentGraph, pms: list[Matching]) -> list[int]:
-    """Each matching as a bitmask over the id-sorted edge list."""
-    pos = {e.id: i for i, e in enumerate(_sorted_edges(g))}
-    return [sum(1 << pos[edge_id] for edge_id in pm) for pm in pms]
-
-
 def _covers(need: list[int], ends: list[tuple[int, int]]) -> list[tuple[int, ...]]:
     """Every edge subset meeting each vertex v exactly ``need[v]`` times, as
     sorted tuples of indices into ``ends`` (the edges as vertex index pairs).
     Each step covers the lowest vertex with need left completely, by one edge
     or an unordered pair of its free edges, so every cover is produced once:
-    an edge to a covered vertex is never free again."""
-    need = list(need)
-    incident: list[list[int]] = [[] for _ in need]
+    an edge to a covered vertex is never free again.  A step lowers only the
+    needs of the ends it takes, and restores them on return."""
+    incident: list[list[tuple[int, int]]] = [[] for _ in need]
     for k, (a, b) in enumerate(ends):
-        incident[a].append(k)
-        incident[b].append(k)
+        incident[a].append((k, b))
+        incident[b].append((k, a))
     out: list[tuple[int, ...]] = []
 
     def rec(v: int, chosen: tuple[int, ...]):
@@ -104,32 +96,42 @@ def _covers(need: list[int], ends: list[tuple[int, int]]) -> list[tuple[int, ...
             v += 1
         if v == len(need):
             out.append(tuple(sorted(chosen)))
-            return
-        free = [k for k in incident[v] if need[ends[k][0]] and need[ends[k][1]]]
-        for combo in combinations(free, need[v]):
-            hit = [end for k in combo for end in ends[k]]
-            for end in hit:
-                need[end] -= 1
-            if min(need) >= 0:
-                rec(v + 1, chosen + combo)
-            for end in hit:
-                need[end] += 1
+        elif need[v] == 1:
+            need[v] = 0
+            for k, w in incident[v]:
+                if need[w]:
+                    need[w] -= 1
+                    rec(v + 1, chosen + (k,))
+                    need[w] += 1
+            need[v] = 1
+        else:
+            need[v] = 0
+            for (k, w), (l, x) in combinations([(k, w) for k, w in incident[v] if need[w]], 2):
+                if w != x or need[w] > 1:
+                    need[w] -= 1
+                    need[x] -= 1
+                    rec(v + 1, chosen + (k, l))
+                    need[w] += 1
+                    need[x] += 1
+            need[v] = 2
 
     rec(0, ())
     return out
 
 
+def _index_covers(g: ExperimentGraph, override_limits: bool) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The id-sorted edge ids, and the sorted covers as tuples of indices into them."""
+    _check_scale(g, override_limits)
+    edges = sorted(g.edges, key=lambda e: e.id)
+    need = [2 if v in g.measured else 1 for v in g.vertices]
+    return [e.id for e in edges], sorted(_covers(need, [(g.index(e.u), g.index(e.v)) for e in edges]))
+
+
 def enumerate_pm(g: ExperimentGraph, *, override_limits: bool = False) -> list[Matching]:
     """All perfect matchings (coincidence covers when vertices are measured),
     duplicate-free and sorted lexicographically by edge-id tuple."""
-    _check_scale(g, override_limits)
-    edges = _sorted_edges(g)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    need = [2 if v in g.measured else 1 for v in g.vertices]
-    ends = [(index[e.u], index[e.v]) for e in edges]
-    found = [tuple(edges[k].id for k in cover) for cover in _covers(need, ends)]
-    found.sort()
-    return found
+    ids, covers = _index_covers(g, override_limits)
+    return [tuple(map(ids.__getitem__, cover)) for cover in covers]
 
 
 def is_coincidence_cover(g: ExperimentGraph, edge_ids) -> bool:
@@ -163,8 +165,8 @@ def max_disjoint_pms(
     returned.  Every cover takes one edge end at a plain vertex and two at a
     measured one, so no more than min over v of deg(v) // need(v) covers
     are pairwise disjoint; the search stops once it holds that many."""
-    pms = enumerate_pm(g, override_limits=override_limits)
-    masks = _edge_masks(g, pms)
+    ids, covers = _index_covers(g, override_limits)
+    masks = [sum(1 << k for k in cover) for cover in covers]
     cap = min(
         (g.degree(v) // (2 if v in g.measured else 1) for v in g.vertices),
         default=len(masks),
@@ -186,7 +188,7 @@ def max_disjoint_pms(
             chosen.pop()
 
     dfs(0, 0, [])
-    return len(best), [pms[i] for i in best]
+    return len(best), [tuple(map(ids.__getitem__, covers[i])) for i in best]
 
 
 def ghz_dimension_bound(n: int) -> int:
@@ -273,37 +275,39 @@ def enumerate_factorizations(
 
     Requires a regular graph (every 1-factorizable graph is).  Partitions are
     built by always covering the lowest-id unused edge, branching only over
-    the matchings that contain it (indexed once per edge, in enumeration
-    order), so each one appears exactly once, in deterministic order."""
+    the matchings that hold it and share no edge with those chosen, so each
+    one appears exactly once, in enumeration order.  Sets of matchings are
+    bitsets over the enumeration: per edge, those holding it (``holding``);
+    per matching, those sharing an edge with it (``clash``)."""
     degrees = [g.degree(v) for v in g.vertices]
     if degrees and len(set(degrees)) != 1:
         raise DomainError("graph is not regular; a 1-factorization cannot exist")
     if g.measured:
         raise DomainError("factorizations are defined for unmeasured graphs")
 
-    pms = enumerate_pm(g, override_limits=override_limits)
-    masks = _edge_masks(g, pms)
-    full = (1 << len(g.edges)) - 1
-    holding = [[i for i, mask in enumerate(masks) if mask >> bit & 1] for bit in range(len(g.edges))]
-
+    ids, covers = _index_covers(g, override_limits)
+    pms = [tuple(map(ids.__getitem__, cover)) for cover in covers]
+    masks = [sum(1 << k for k in cover) for cover in covers]
+    full = (1 << len(ids)) - 1
+    holding = [0] * len(ids)
+    for i, cover in enumerate(covers):
+        for k in cover:
+            holding[k] |= 1 << i
+    clash = [reduce(int.__or__, map(holding.__getitem__, cover), 0) for cover in covers]
     out: list[Factorization] = []
-    chosen: list[int] = []
 
-    def rec(used: int):
+    def rec(used: int, avail: int, chosen: tuple[int, ...]):
         if used == full:
-            out.append(Factorization(tuple(pms[i] for i in chosen)))
+            out.append(Factorization(tuple(map(pms.__getitem__, chosen))))
             return
-        free = ~used & full
-        for i in holding[(free & -free).bit_length() - 1]:
-            if not masks[i] & used:
-                chosen.append(i)
-                rec(used | masks[i])
-                chosen.pop()
+        later = holding[(~used & (used + 1)).bit_length() - 1] & avail
+        while later:
+            i = (later & -later).bit_length() - 1
+            later &= later - 1
+            rec(used | masks[i], avail & ~clash[i], chosen + (i,))
 
-    if g.edges:
-        rec(0)
-    elif not g.vertices:
-        out.append(Factorization(()))
+    if covers:
+        rec(0, (1 << len(covers)) - 1, ())
     return out
 
 
@@ -321,10 +325,6 @@ def classify_layers(g: ExperimentGraph, *, override_limits: bool = False) -> Lay
             raise DomainError(f"layer {tag} is not a perfect matching", reason="bad-layer")
 
     pms = enumerate_pm(g, override_limits=override_limits)
-    layer_sets = {frozenset(ids): tag for tag, ids in groups.items()}
-    layer_matchings = sorted(
-        (pm for pm in pms if frozenset(pm) in layer_sets),
-        key=lambda pm: layer_sets[frozenset(pm)],
-    )
-    mavericks = [pm for pm in pms if frozenset(pm) not in layer_sets]
-    return LayerReport(tuple(layer_matchings), tuple(mavericks))
+    layer_of = {tuple(sorted(ids)): tag for tag, ids in groups.items()}
+    layer_matchings = sorted((pm for pm in pms if pm in layer_of), key=layer_of.__getitem__)
+    return LayerReport(tuple(layer_matchings), tuple(pm for pm in pms if pm not in layer_of))

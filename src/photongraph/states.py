@@ -79,12 +79,18 @@ class QuantumState:
 
 def states_equal(s1: QuantumState, s2: QuantumState, tol: float = AMP_TOL) -> bool:
     """Equality up to global phase: canonical forms match ket-for-ket with
-    per-amplitude tolerance ``tol``."""
-    a = s1.canonical()
-    b = s2.canonical()
-    if set(a.terms) != set(b.terms):
+    per-amplitude tolerance ``tol``.  Both sides are compared in place: the
+    kets above ``AMP_TOL`` must agree, and each side is rotated by the phase
+    that makes its amplitude at the first such ket positive real."""
+    a, b = s1.terms, s2.terms
+    kets = {k for k, amp in a.items() if abs(amp) > AMP_TOL}
+    if kets != {k for k, amp in b.items() if abs(amp) > AMP_TOL}:
         return False
-    return all(abs(a.terms[k] - b.terms[k]) <= tol for k in a.terms)
+    if not kets:
+        return True
+    first = min(kets)
+    ra, rb = abs(a[first]) / a[first], abs(b[first]) / b[first]
+    return all(abs(a[k] * ra - b[k] * rb) <= tol for k in kets)
 
 
 def _indexed(g: ExperimentGraph, edges) -> list[tuple]:

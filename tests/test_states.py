@@ -130,6 +130,52 @@ def test_search_takes_the_target_as_a_ray():
         assert pg.search_graph_for_state(scaled) == w
 
 
+def _copied_states_equal(s1: QuantumState, s2: QuantumState, tol: float) -> bool:
+    """Equality up to global phase through pruned and rotated copies."""
+
+    def canonical(state: QuantumState) -> dict:
+        kept = {k: a for k, a in state.terms.items() if abs(a) > pg.states.AMP_TOL}
+        if not kept:
+            return kept
+        rotation = abs(kept[min(kept)]) / kept[min(kept)]
+        return {k: a * rotation for k, a in kept.items()}
+
+    a, b = canonical(s1), canonical(s2)
+    return set(a) == set(b) and all(abs(a[k] - b[k]) <= tol for k in a)
+
+
+def test_states_equal_matches_copied_canonical_forms():
+    tol = pg.states.AMP_TOL
+    near = (tol * (1 - 1e-6), tol * (1 + 1e-6))
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(2000):
+        kets = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(rng.randrange(0, 5))]
+        terms = {k: cmath.rect(rng.choice([1.0, 0.5, rng.choice(near)]), rng.uniform(-math.pi, math.pi)) for k in kets}
+        first = QuantumState(terms)
+        phase = cmath.exp(1j * rng.choice([0.0, math.pi, rng.uniform(-math.pi, math.pi)]))
+        other = {k: a * phase for k, a in terms.items()}
+        for _ in range(rng.randrange(0, 3)):
+            k = tuple(rng.randrange(3) for _ in range(3))
+            change = rng.choice(["drop", "tiny", "nudge", "add"])
+            if change == "drop":
+                other.pop(k, None)
+            elif change == "tiny":
+                other[k] = cmath.rect(rng.choice(near), rng.uniform(-math.pi, math.pi))
+            elif change == "nudge" and k in other:
+                other[k] += rng.choice([0.5, 2.0]) * tol
+            elif change == "add":
+                other[k] = rng.choice([1.0, 0.5])
+        second = QuantumState(other)
+        for tol_used in (tol, 1e-6):
+            expected = _copied_states_equal(first, second, tol_used)
+            assert pg.states_equal(first, second, tol_used) == expected
+            seen.add(expected)
+    assert pg.states_equal(QuantumState({}), QuantumState({(0,): tol / 2}))
+    assert not pg.states_equal(QuantumState({}), QuantumState({(0,): near[1]}))
+    assert seen == {True, False}
+
+
 def test_state_invariant_under_edge_relabeling():
     g = layered6()
     relabeled = ExperimentGraph(
