@@ -10,7 +10,12 @@ The hafnian expands on the lowest live index and memoizes on the set of
 live indices; each row's nonzero later columns are kept as a bitmask, so
 the expansion never visits a zero entry.  It forms the same products in the
 same order as a walk over every index, so float and complex results do not
-depend on the sparsity.
+depend on the sparsity.  A matrix whose nonzero entries are all the integer
+1 is a simple graph, and its hafnian is its number of perfect matchings:
+that case goes to a counter that takes only the bitmasks (``later[i]``, the
+neighbours of vertex i above i) and adds counts level by level, with no
+multiplication and no rows.  The G(n, p) ensemble calls the same counter
+on the bitmasks of each sampled graph.
 
 Integer matrices are computed in arbitrary-precision integer arithmetic
 (counts overflow 64 bits near order 20).  Complex and float inputs use
@@ -49,6 +54,11 @@ def _validate_square(matrix) -> int:
     return n
 
 
+def _check_hafnian_order(n: int) -> None:
+    if n > HAFNIAN_ORDER_LIMIT:
+        raise ScaleLimitError(f"hafnian order {n} exceeds the guard (<= {HAFNIAN_ORDER_LIMIT})")
+
+
 def _finite(kernel, *args):
     """``kernel(*args)``.  Integer results are exact; a float or complex one
     must be finite, and an integer too large for a double that meets a float
@@ -68,14 +78,18 @@ def hafnian(matrix, *, override_limits: bool = False):
     Recursive expansion on the first remaining index with memoization on the
     set of live indices.  The validation pass records, per row, a bitmask of
     the later columns holding a nonzero entry, and the expansion walks only
-    those, so sparse adjacency matrices stay fast.  Requires an even order,
+    those, so sparse adjacency matrices stay fast.  When every nonzero entry
+    is an ``int`` equal to 1, the matrix is a simple graph and the result is
+    its perfect-matching count from :func:`_unit_matchings`; float, complex,
+    bool and larger entries take the expansion.  Requires an even order,
     exact symmetry and a zero diagonal."""
     n = _validate_square(matrix)
     if n % 2 != 0:
         raise DomainError(f"hafnian needs an even order, got {n}")
-    if not override_limits and n > HAFNIAN_ORDER_LIMIT:
-        raise ScaleLimitError(f"hafnian order {n} exceeds the guard (<= {HAFNIAN_ORDER_LIMIT})")
+    if not override_limits:
+        _check_hafnian_order(n)
     nonzero = [0] * n
+    unit = True
     for i in range(n):
         row = matrix[i]
         if row[i] != 0:
@@ -87,7 +101,11 @@ def hafnian(matrix, *, override_limits: bool = False):
                 raise DomainError(f"matrix is not symmetric at ({i},{j})")
             if entry != 0:
                 mask |= 1 << j
+                if unit and (entry != 1 or type(entry) is not int):
+                    unit = False
         nonzero[i] = mask
+    if unit:
+        return _unit_matchings(nonzero) if n else 1
 
     memo: dict[int, object] = {0: 1}
 
@@ -108,7 +126,47 @@ def hafnian(matrix, *, override_limits: bool = False):
         memo[mask] = total
         return total
 
-    return _finite(rec, (1 << n) - 1) if n else 1
+    return _finite(rec, (1 << n) - 1)
+
+
+def _unit_matchings(later: list[int]) -> int:
+    """Number of perfect matchings of the simple graph on ``len(later)``
+    vertices, an even number >= 2, in which vertex i is joined to the
+    vertices in the bitmask ``later[i]``, all of them above i.
+
+    Each level covers the lowest vertex still uncovered in every live set
+    of uncovered vertices, one edge at a time, and adds the set's count of
+    ways into the set left over.  At the last level each live set holds two
+    vertices, which match only if they are joined.  A graph with an isolated
+    vertex has no matching and stops before the first level."""
+    adj = {}
+    seen = 0
+    bit = 1
+    for mask in later:
+        adj[bit] = mask
+        if mask:
+            seen |= mask | bit
+        bit <<= 1
+    full = bit - 1
+    if seen != full:
+        return 0
+    level = {full: 1}
+    for _ in range(len(later) // 2 - 1):
+        following: dict[int, int] = {}
+        get = following.get
+        for live, ways in level.items():
+            low = live & -live
+            rest = live ^ low
+            sub = adj[low] & rest
+            while sub:
+                bit = sub & -sub
+                sub ^= bit
+                left = rest ^ bit
+                following[left] = get(left, 0) + ways
+        if not following:
+            return 0
+        level = following
+    return sum(ways for live, ways in level.items() if adj[live & -live] & live)
 
 
 def permanent(matrix, *, override_limits: bool = False):

@@ -9,19 +9,24 @@ making runs reproducible independently of execution order or parallelism.
 A trial goes from its seed to its count without building a graph: the
 edge pairs come from the sampler behind :func:`~photongraph.graph.random_graph`
 (so a trial's graph is ``random_graph(n, p, trial_seed(seed, trial))``), are
-written into 0/1 adjacency rows and handed to the hafnian.  With several
-workers, one process pool per scan takes every (p, trial range) chunk; the
-pool class is imported only then, so a serial scan never loads
+written into one bitmask of later neighbours per vertex and handed to the
+unit-graph matching counter of :mod:`~photongraph.counting`, which gives
+the hafnian of the graph's adjacency matrix.  Since no trial calls
+``hafnian``, a scan applies its order guard itself, before any sampling.
+With several workers, one process pool per scan takes every (p, trial
+range) chunk, with no more processes than cores or chunks; the pool class is
+imported only then, so a serial scan never loads
 ``concurrent.futures.process``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import Counter
 from dataclasses import dataclass
 
-from .counting import hafnian
+from .counting import _check_hafnian_order, _unit_matchings
 from .errors import DomainError
 from .graph import ExperimentGraph, _gnp_pairs
 from .states import QuantumState, _cover_amplitude_sum, state_from_graph
@@ -65,13 +70,14 @@ def trial_seed(seed: int, trial: int) -> int:
 
 def _count_range(n: int, p: float, seed: int, start: int, stop: int) -> Counter:
     """Histogram of perfect-matching counts over trials ``start..stop-1``,
-    straight from the sampled index pairs to 0/1 adjacency rows."""
+    straight from the sampled index pairs to the bitmasks of later
+    neighbours that the unit-graph counter takes."""
     counts: Counter = Counter()
     for trial in range(start, stop):
-        rows = [[0] * n for _ in range(n)]
+        later = [0] * n
         for i, j in _gnp_pairs(n, p, trial_seed(seed, trial)):
-            rows[i][j] = rows[j][i] = 1
-        counts[hafnian(rows)] += 1
+            later[i] |= 1 << j
+        counts[_unit_matchings(later)] += 1
     return counts
 
 
@@ -85,8 +91,11 @@ def ensemble_scan(
 ) -> list[EnsembleReport]:
     """Sample ``trials`` graphs per probability and report the fraction with
     at least one perfect matching plus the full count histogram.  Every
-    argument is checked before any sampling; with ``workers > 1`` one
-    process pool serves every probability."""
+    argument, and the hafnian order guard on ``n``, is checked before any
+    sampling.  With ``workers > 1`` one process pool serves every
+    probability; it gets no more processes than the machine has cores or
+    than there are trial chunks to send, so a large ``workers`` forks no
+    more than that."""
     if n % 2 != 0 or n < 2:
         raise DomainError(f"vertex count must be even and >= 2 for matching statistics, got {n}")
     if trials < 1:
@@ -97,15 +106,16 @@ def ensemble_scan(
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"edge probability must lie in [0, 1], got {p}")
+    _check_hafnian_order(n)
+    workers = min(workers, os.cpu_count() or 1)
+    chunk = max(1, trials // (workers * 4))
+    bounds = list(range(0, trials, chunk)) + [trials]
+    spans = list(zip(bounds, bounds[1:]))
+    workers = min(workers, len(spans) * len(p_values))
     if workers > 1:
-        chunk = max(1, trials // (workers * 4))
-        bounds = list(range(0, trials, chunk)) + [trials]
         pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
         with pool_class(max_workers=workers) as pool:
-            futures = [
-                [pool.submit(_count_range, n, p, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-                for p in p_values
-            ]
+            futures = [[pool.submit(_count_range, n, p, seed, lo, hi) for lo, hi in spans] for p in p_values]
             histograms = [sum((future.result() for future in per_p), Counter()) for per_p in futures]
     else:
         histograms = [_count_range(n, p, seed, 0, trials) for p in p_values]

@@ -272,6 +272,15 @@ def test_random_zero_threads_is_one_error_line(capsys):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: domain-error:")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_random_order_guard_is_one_error_line(capsys, threads):
+    code = main(["random", "--n", "26", "--p", "0.5", "--trials", "3", "--seed", "1", "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: scale-limit: hafnian order 26 exceeds the guard (<= 24)\n"
+
+
 def test_random_with_csv(capsys, tmp_path):
     csv_path = tmp_path / "report.csv"
     code, out = run(

@@ -102,10 +102,18 @@ def symmetric_matrices(draw, entries):
     return m
 
 
-@given(symmetric_matrices(st.integers(min_value=0, max_value=3)))
+@given(st.one_of(symmetric_matrices(st.integers(min_value=0, max_value=3)),
+                 symmetric_matrices(st.integers(min_value=0, max_value=1))))
 @settings(max_examples=120, deadline=None)
 def test_hafnian_matches_oracle_on_multigraphs(m):
     assert pg.hafnian(m) == naive_hafnian(m)
+
+
+def test_hafnian_result_types():
+    k4 = pg.complete_graph(4).adjacency()
+    for entry, expected in ((1, 3), (1.0, 3.0), (True, 3), (2, 12)):
+        value = pg.hafnian([[entry if x else 0 for x in row] for row in k4])
+        assert value == expected and type(value) is type(expected)
 
 
 _parts = st.floats(min_value=-2.0, max_value=2.0)

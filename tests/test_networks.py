@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from concurrent.futures import Future
 
 import pytest
 
@@ -92,17 +94,82 @@ def test_ensemble_rejects_fewer_than_one_worker(workers):
         pg.ensemble_scan(6, [0.5], 10, 0, workers=workers)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_ensemble_checks_every_p_before_sampling(monkeypatch, workers):
+@pytest.fixture
+def no_sampling(monkeypatch):
     from photongraph import networks
 
     def no_work(*args, **kwargs):
-        raise AssertionError("sampling or a pool started before every p was checked")
+        raise AssertionError("sampling or a pool started before every argument was checked")
 
     monkeypatch.setattr(networks, "_count_range", no_work)
     monkeypatch.setattr(networks, "ProcessPoolExecutor", no_work)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_checks_every_p_before_sampling(no_sampling, workers):
     with pytest.raises(pg.DomainError):
         pg.ensemble_scan(6, [0.2, 0.5, 1.5], 10, 0, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_refuses_large_orders_before_sampling(no_sampling, workers):
+    with pytest.raises(pg.ScaleLimitError) as err:
+        pg.ensemble_scan(26, [0.5], 10, 0, workers=workers)
+    assert str(err.value) == "hafnian order 26 exceeds the guard (<= 24)"
+
+
+class _InlinePool:
+    """Stands in for the process pool: runs each chunk at once in this
+    process and records the pool size each scan asks for."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, trials, ps, sizes",
+    [
+        (8, 100_000, 3, [0.5], [3]),  # three chunks to send
+        (2, 100_000, 50, [0.3, 0.7], [2]),  # two cores
+        (8, 4, 1, [0.5], []),  # one chunk: no pool
+        (None, 4, 50, [0.5], []),  # core count unknown: no pool
+    ],
+)
+def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, trials, ps, sizes):
+    from photongraph import networks
+
+    monkeypatch.setattr(networks.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(networks, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    reports = pg.ensemble_scan(4, ps, trials, 1, workers=workers)
+    assert _InlinePool.sizes == sizes
+    assert reports == pg.ensemble_scan(4, ps, trials, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_trial_counts_are_hafnians_of_the_sampled_graphs(n):
+    from photongraph.networks import _count_range
+
+    for p in (0.0, 0.3, 0.7, 1.0):
+        for trial in range(6):
+            rows = pg.random_graph(n, p, pg.trial_seed(41, trial)).adjacency()
+            count = pg.hafnian(rows)
+            assert _count_range(n, p, 41, trial, trial + 1) == Counter({count: 1})
+            # float entries take the general expansion, exact at these sizes
+            assert pg.hafnian([[float(x) for x in row] for row in rows]) == count
 
 
 def test_single_edge_amplitude_is_p():
