@@ -81,7 +81,7 @@ def hafnian(matrix, *, override_limits: bool = False):
     those, so sparse adjacency matrices stay fast.  When every nonzero entry
     is an ``int`` equal to 1, the matrix is a simple graph and the result is
     its perfect-matching count from :func:`_unit_matchings`; float, complex,
-    bool and larger entries take the expansion.  Requires an even order,
+    bool and multiplicity entries take the expansion.  Requires an even order,
     exact symmetry and a zero diagonal."""
     n = _validate_square(matrix)
     if n % 2 != 0:
