@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import Counter
 from concurrent.futures import Future
@@ -151,7 +152,7 @@ class _InlinePool:
 def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, trials, ps, sizes):
     from photongraph import networks
 
-    monkeypatch.setattr(networks.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(networks, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     reports = pg.ensemble_scan(4, ps, trials, 1, workers=workers)
