@@ -10,12 +10,10 @@ The hafnian expands on the lowest live index and memoizes on the set of
 live indices; each row's nonzero later columns are kept as a bitmask, so
 the expansion never visits a zero entry.  It forms the same products in the
 same order as a walk over every index, so float and complex results do not
-depend on the sparsity.  A matrix whose nonzero entries are all the integer
-1 is a simple graph, and its hafnian is its number of perfect matchings:
-that case goes to a counter that takes only the bitmasks (``later[i]``, the
-neighbours of vertex i above i) and adds counts level by level, with no
-multiplication and no rows.  The G(n, p) ensemble calls the same counter
-on the bitmasks of each sampled graph.
+depend on the sparsity.  The G(n, p) ensemble, whose graphs are simple,
+counts their perfect matchings with a separate counter that takes only
+those bitmasks (``later[i]``, the neighbours of vertex i above i) and adds
+counts level by level, with no multiplication and no rows.
 
 Integer matrices are computed in arbitrary-precision integer arithmetic
 (counts overflow 64 bits near order 20).  Complex and float inputs use
@@ -78,10 +76,7 @@ def hafnian(matrix, *, override_limits: bool = False):
     Recursive expansion on the first remaining index with memoization on the
     set of live indices.  The validation pass records, per row, a bitmask of
     the later columns holding a nonzero entry, and the expansion walks only
-    those, so sparse adjacency matrices stay fast.  When every nonzero entry
-    is an ``int`` equal to 1, the matrix is a simple graph and the result is
-    its perfect-matching count from :func:`_unit_matchings`; float, complex,
-    bool and multiplicity entries take the expansion.  Requires an even order,
+    those, so sparse adjacency matrices stay fast.  Requires an even order,
     exact symmetry and a zero diagonal."""
     n = _validate_square(matrix)
     if n % 2 != 0:
@@ -89,7 +84,6 @@ def hafnian(matrix, *, override_limits: bool = False):
     if not override_limits:
         _check_hafnian_order(n)
     nonzero = [0] * n
-    unit = True
     for i in range(n):
         row = matrix[i]
         if row[i] != 0:
@@ -101,11 +95,7 @@ def hafnian(matrix, *, override_limits: bool = False):
                 raise DomainError(f"matrix is not symmetric at ({i},{j})")
             if entry != 0:
                 mask |= 1 << j
-                if unit and (entry != 1 or type(entry) is not int):
-                    unit = False
         nonzero[i] = mask
-    if unit:
-        return _unit_matchings(nonzero) if n else 1
 
     memo: dict[int, object] = {0: 1}
 
@@ -126,7 +116,7 @@ def hafnian(matrix, *, override_limits: bool = False):
         memo[mask] = total
         return total
 
-    return _finite(rec, (1 << n) - 1)
+    return _finite(rec, (1 << n) - 1) if n else 1
 
 
 def _unit_matchings(later: list[int]) -> int:

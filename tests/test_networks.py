@@ -67,7 +67,9 @@ def test_fraction_monotone_in_p():
     assert fractions == sorted(fractions)
 
 
-def test_parallel_workers_match_serial():
+def test_parallel_workers_match_serial(monkeypatch):
+    # two cores, whatever the host has, so workers=2 opens a real pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for seed in (12, 13, 14):
         serial = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed)
         parallel = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed, workers=2)
@@ -169,8 +171,6 @@ def test_trial_counts_are_hafnians_of_the_sampled_graphs(n):
             rows = pg.random_graph(n, p, pg.trial_seed(41, trial)).adjacency()
             count = pg.hafnian(rows)
             assert _count_range(n, p, 41, trial, trial + 1) == Counter({count: 1})
-            # float entries take the general expansion, exact at these sizes
-            assert pg.hafnian([[float(x) for x in row] for row in rows]) == count
 
 
 def test_single_edge_amplitude_is_p():
