@@ -49,7 +49,7 @@ _EXPORTS = {
         "scan_ghz_dimension",
         "is_coincidence_cover",
     ),
-    "counting": ("hafnian", "permanent", "count_pm_via_matrix", "matrix_counts"),
+    "counting": ("hafnian", "permanent", "matrix_counts"),
     "states": (
         "QuantumState",
         "state_from_graph",

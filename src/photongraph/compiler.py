@@ -10,7 +10,8 @@ layers.  ``plan_to_graph`` inverts the construction.
 A plan crystal is the graph's own :class:`~photongraph.graph.Edge` with no
 layer tag: its layer is its position in the plan.  Plan files store each
 crystal as a graph edge record without ``layer``, read and written by the
-graph module's codec and validated by the same rules.
+graph module's codec; the crystals and detectors are checked by the rules
+of the graph model, and a refusal is reported at its place in the plan.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, GraphParseError
-from .graph import Edge, ExperimentGraph, _edge_record, _expect, _parse_json, _read_edge, _read_names
+from .errors import DomainError, FieldError, GraphParseError
+from .graph import Edge, ExperimentGraph, _edge_record, _expect, _parse_json, _read_edge
 
 __all__ = [
     "SetupPlan",
@@ -61,47 +62,40 @@ def synthesize_setup(g: ExperimentGraph) -> SetupPlan:
             "measurement; synthesize each half separately"
         )
 
+    edges = sorted(g.edges, key=lambda e: e.id)
     occupied: dict[int, set[str]] = {}
-    assigned: dict[str, int] = {}
-    for e in sorted(g.edges, key=lambda e: e.id):
+    crystals: dict[int, list[Edge]] = {}
+    for e in edges:
         if e.layer is None:
             continue
-        paths = occupied.setdefault(e.layer, set())
-        if e.u in paths or e.v in paths:
+        if not _place(occupied.setdefault(e.layer, set()), e):
             raise DomainError(
                 f"pre-assigned layer {e.layer} has two crystals sharing a path "
                 f"(at edge {e.id!r})",
                 reason="layer-conflict",
             )
-        paths.update((e.u, e.v))
-        assigned[e.id] = e.layer
+        crystals.setdefault(e.layer, []).append(replace(e, layer=None))
 
-    for e in sorted(g.edges, key=lambda e: e.id):
-        if e.id in assigned:
+    for e in edges:
+        if e.layer is not None:
             continue
         tag = 0
-        while True:
-            paths = occupied.setdefault(tag, set())
-            if e.u not in paths and e.v not in paths:
-                paths.update((e.u, e.v))
-                assigned[e.id] = tag
-                break
+        while not _place(occupied.setdefault(tag, set()), e):
             tag += 1
+        crystals.setdefault(tag, []).append(e)
 
-    # Untagged edges are crystals as they stand; tagged ones lose the tag.
-    crystals = {e.id: e if e.layer is None else replace(e, layer=None) for e in g.edges}
-    layers = tuple(
-        tuple(crystals[eid] for eid in sorted(ids))
-        for tag, ids in sorted(_group(assigned).items())
-    )
+    layers = tuple(tuple(sorted(layer, key=lambda c: c.id)) for _, layer in sorted(crystals.items()))
     return SetupPlan(tuple(g.vertices), layers, _wiring(g.vertices, layers))
 
 
-def _group(assigned: dict[str, int]) -> dict[int, list[str]]:
-    groups: dict[int, list[str]] = {}
-    for edge_id, tag in assigned.items():
-        groups.setdefault(tag, []).append(edge_id)
-    return groups
+def _place(paths: set[str], crystal: Edge) -> bool:
+    """Occupy the crystal's two paths in a layer whose taken paths are
+    ``paths``; False, taking nothing, when one of them is taken already,
+    since crystals of one layer share no path."""
+    if crystal.u in paths or crystal.v in paths:
+        return False
+    paths.update((crystal.u, crystal.v))
+    return True
 
 
 def plan_to_graph(plan: SetupPlan) -> ExperimentGraph:
@@ -109,14 +103,13 @@ def plan_to_graph(plan: SetupPlan) -> ExperimentGraph:
     positions.  The wiring section is validated against the layers."""
     edges = []
     for pos, layer in enumerate(plan.layers):
-        used_paths: set[str] = set()
+        paths: set[str] = set()
         for c in layer:
-            if c.u in used_paths or c.v in used_paths:
+            if not _place(paths, c):
                 raise DomainError(
                     f"layer {pos} has two crystals sharing a path (at {c.id!r})",
                     reason="layer-conflict",
                 )
-            used_paths.update((c.u, c.v))
             edges.append(replace(c, layer=pos))
     g = ExperimentGraph(plan.detectors, edges)
     expected = _wiring(plan.detectors, plan.layers)
@@ -146,20 +139,24 @@ def parse_plan(text: str) -> SetupPlan:
         "plan must be an object with detectors, layers and wiring",
         "<plan>",
     )
-    detectors = _read_names(doc["detectors"], "detectors")
+    detectors = doc["detectors"]
+    _expect(isinstance(detectors, list), "detectors must be a list", "detectors")
     _expect(isinstance(doc["layers"], list), "layers must be a list of layers", "layers")
     layers = []
-    seen_ids: set[str] = set()
     for i, raw_layer in enumerate(doc["layers"]):
         _expect(isinstance(raw_layer, list), "layer must be a list of crystals", f"layers[{i}]")
         layer = []
         for j, rec in enumerate(raw_layer):
             loc = f"layers[{i}][{j}]"
-            crystal = _read_edge(rec, loc, detectors, seen_ids)
+            crystal = _read_edge(rec, loc)
             if crystal.layer is not None:
                 raise GraphParseError("a crystal's layer is its position in the plan", location=f"{loc}.layer")
             layer.append(crystal)
         layers.append(tuple(layer))
+    try:
+        ExperimentGraph(detectors, [c for layer in layers for c in layer])
+    except FieldError as exc:
+        raise GraphParseError(exc.problem, location=_plan_location(exc.field, layers)) from None
     wiring = doc["wiring"]
     _expect(isinstance(wiring, dict), "wiring must map paths to crystal lists", "wiring")
     for path, ids in wiring.items():
@@ -170,6 +167,16 @@ def parse_plan(text: str) -> SetupPlan:
         tuple(layers),
         {path: tuple(ids) for path, ids in wiring.items()},
     )
+
+
+def _plan_location(field: str, layers) -> str:
+    """The plan location of a field named by :class:`ExperimentGraph` for the
+    graph of a plan's detectors and its crystals in layer order."""
+    if field.startswith("vertices"):
+        return "detectors" + field.removeprefix("vertices")
+    k, _, key = field.removeprefix("edges[").partition("]")
+    places = [f"layers[{i}][{j}]" for i, layer in enumerate(layers) for j in range(len(layer))]
+    return places[int(k)] + key
 
 
 def render_plan(plan: SetupPlan) -> str:

@@ -30,7 +30,6 @@ from .graph import ExperimentGraph
 __all__ = [
     "hafnian",
     "permanent",
-    "count_pm_via_matrix",
     "matrix_counts",
     "HAFNIAN_ORDER_LIMIT",
     "PERMANENT_ORDER_LIMIT",
@@ -212,13 +211,3 @@ def matrix_counts(g: ExperimentGraph, *, override_limits: bool = False):
     if len(bi.rows) != len(bi.cols):
         return count, None
     return count, permanent([list(r) for r in bi.entries], override_limits=override_limits)
-
-
-def count_pm_via_matrix(g: ExperimentGraph, *, override_limits: bool = False) -> int:
-    """Perfect-matching count through the matrix kernels: the hafnian of the
-    adjacency matrix always, cross-checked against the permanent of the
-    biadjacency matrix whenever the graph is bipartite with equal parts."""
-    count, perm = matrix_counts(g, override_limits=override_limits)
-    if perm is not None and perm != count:  # pragma: no cover - both kernels are exact
-        raise RuntimeError(f"kernel mismatch: hafnian={count} permanent={perm}")
-    return count

@@ -36,6 +36,18 @@ class DomainError(PhotonGraphError):
     reason = "domain-error"
 
 
+class FieldError(DomainError):
+    """A value breaks a rule of the graph model.  ``field`` names the
+    argument that broke it (``mode_u``, ``edges[3].u``, ``vertices[1]``; empty
+    for a whole edge) and ``problem`` states the rule, so that a document
+    reader can report the problem at the field's place in the document."""
+
+    def __init__(self, field: str, problem: str, *, reason: str | None = None):
+        super().__init__(f"{field}: {problem}" if field else problem, reason=reason)
+        self.field = field
+        self.problem = problem
+
+
 class NotBipartiteError(DomainError):
     """Raised with an odd-cycle witness when a bipartition is required."""
 

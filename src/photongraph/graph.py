@@ -21,6 +21,12 @@ File format (UTF-8 JSON): top-level object with
 
 Setup plans (:mod:`photongraph.compiler`) store their crystals as the same
 edge records without ``layer``, read and written by the same functions.
+
+Every rule lives in the model: the field rules of an edge in
+:class:`Edge`, the rules that tie edges to vertices in
+:class:`ExperimentGraph`.  The readers check only the JSON shape (objects,
+lists, known and required keys) and report a refusal of the model at the
+document location of the field it names.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import string
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError, GraphParseError, NotBipartiteError
+from .errors import DomainError, FieldError, GraphParseError, NotBipartiteError
 
 __all__ = [
     "Edge",
@@ -52,7 +58,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Edge:
     """One pair source. ``mode_u``/``mode_v`` are the mode labels the photons
-    carry into paths ``u``/``v``; the amplitude defaults to 1 at phase 0."""
+    carry into paths ``u``/``v``; the amplitude defaults to 1 at phase 0.
+    Magnitude and phase are stored as floats: an integer is converted, and
+    a bool, a non-number or a non-finite value is refused."""
 
     id: str
     u: str
@@ -64,25 +72,45 @@ class Edge:
     layer: int | None = None
 
     def __post_init__(self):
-        if not self.id or not isinstance(self.id, str):
-            raise DomainError(f"edge id must be a nonempty string, got {self.id!r}")
+        if not isinstance(self.id, str) or not self.id:
+            raise FieldError("id", "id must be a nonempty string")
         if self.u == self.v:
-            raise DomainError(f"edge {self.id!r} is a self-loop on {self.u!r}", reason="self-loop")
-        for label, mode in (("mode_u", self.mode_u), ("mode_v", self.mode_v)):
-            if not isinstance(mode, int) or isinstance(mode, bool) or mode < 0:
-                raise DomainError(f"edge {self.id!r}: {label} must be a nonnegative integer")
-        if not (math.isfinite(self.amp_mag) and math.isfinite(self.amp_phase_rad)):
-            raise DomainError(f"edge {self.id!r}: amplitude must be finite")
-        if self.amp_mag < 0:
-            raise DomainError(f"edge {self.id!r}: amplitude magnitude must be >= 0")
-        if self.layer is not None and (
-            not isinstance(self.layer, int) or isinstance(self.layer, bool) or self.layer < 0
-        ):
-            raise DomainError(f"edge {self.id!r}: layer must be a nonnegative integer")
+            raise FieldError("", f"self-loop on {self.u!r}", reason="self-loop")
+        if self.layer is not None and not _is_count(self.layer):
+            raise FieldError("layer", "layer must be a nonnegative integer")
+        mag, phase = self.amp_mag, self.amp_phase_rad
+        if type(mag) is not float or not 0.0 <= mag < math.inf:
+            mag = _finite(mag, "amp_mag")
+            if mag < 0:
+                raise FieldError("amp_mag", "amp_mag must be >= 0")
+            object.__setattr__(self, "amp_mag", mag)
+        for name in ("mode_u", "mode_v"):
+            if not _is_count(getattr(self, name)):
+                raise FieldError(name, "mode must be a nonnegative integer")
+        if type(phase) is not float or not -math.inf < phase < math.inf:
+            object.__setattr__(self, "amp_phase_rad", _finite(phase, "amp_phase_rad"))
 
     @property
     def amplitude(self) -> complex:
         return cmath.rect(self.amp_mag, self.amp_phase_rad)
+
+
+def _is_count(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0
+
+
+def _finite(raw, field: str) -> float:
+    """``raw`` as a float.  A bool, a non-number, and a number beyond the
+    double range or not finite are refused as a value of ``field``."""
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise FieldError(field, "expected a number")
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer beyond the double range
+        value = math.inf
+    if not math.isfinite(value):
+        raise FieldError(field, "number must be finite")
+    return value
 
 
 class Biadjacency(NamedTuple):
@@ -102,38 +130,37 @@ class ExperimentGraph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = (), measured: Iterable[str] = ()):
         vertices = tuple(vertices)
-        seen: set[str] = set()
-        for name in vertices:
-            if not name or not isinstance(name, str):
-                raise DomainError(f"vertex name must be a nonempty string, got {name!r}")
-            if name in seen:
-                raise DomainError(f"duplicate vertex name {name!r}", reason="duplicate-vertex")
-            seen.add(name)
-        index = {name: i for i, name in enumerate(vertices)}
+        index: dict[str, int] = {}
+        for i, name in enumerate(vertices):
+            if not isinstance(name, str) or not name:
+                raise FieldError(f"vertices[{i}]", "vertex name must be a nonempty string")
+            if name in index:
+                raise FieldError(f"vertices[{i}]", f"duplicate vertex {name!r}", reason="duplicate-vertex")
+            index[name] = i
 
-        measured = frozenset(measured)
-        for name in measured:
-            if name not in index:
-                raise DomainError(f"measured vertex {name!r} is not declared")
+        measured = tuple(measured)
+        for i, name in enumerate(measured):
+            if not isinstance(name, str) or name not in index:
+                raise FieldError(f"measured[{i}]", f"measured vertex {name!r} is not declared")
 
         normalized: list[Edge] = []
-        ids: set[str] = set()
-        for e in edges:
-            if e.id in ids:
-                raise DomainError(f"duplicate edge id {e.id!r}", reason="duplicate-edge")
-            ids.add(e.id)
-            for end in (e.u, e.v):
-                if end not in index:
-                    raise DomainError(f"edge {e.id!r}: unknown endpoint {end!r}", reason="unknown-endpoint")
+        by_id: dict[str, Edge] = {}
+        for k, e in enumerate(edges):
+            if e.id in by_id:
+                raise FieldError(f"edges[{k}].id", f"duplicate edge id {e.id!r}", reason="duplicate-edge")
+            for key, end in (("u", e.u), ("v", e.v)):
+                if not isinstance(end, str) or end not in index:
+                    raise FieldError(f"edges[{k}].{key}", f"unknown endpoint {end!r}", reason="unknown-endpoint")
             if index[e.u] > index[e.v]:
                 e = replace(e, u=e.v, v=e.u, mode_u=e.mode_v, mode_v=e.mode_u)
             normalized.append(e)
+            by_id[e.id] = e
 
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "measured", measured)
+        object.__setattr__(self, "measured", frozenset(measured))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_by_id", {e.id: e for e in normalized})
+        object.__setattr__(self, "_by_id", by_id)
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
         raise AttributeError("ExperimentGraph is immutable")
@@ -281,22 +308,13 @@ def _expect(condition: bool, message: str, location: str):
         raise GraphParseError(message, location=location)
 
 
-def _mode_value(raw, location: str) -> int:
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
-        return raw
-    raise GraphParseError("mode must be a nonnegative integer", location=location)
-
-
 def _float_value(raw, location: str) -> float:
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise GraphParseError("expected a number", location=location)
+    """``raw`` as a finite float by the rule of an edge amplitude, refused
+    at ``location``."""
     try:
-        value = float(raw)
-    except OverflowError:  # an integer beyond the double range
-        value = math.inf
-    if not math.isfinite(value):
-        raise GraphParseError("number must be finite", location=location)
-    return value
+        return _finite(raw, location)
+    except FieldError as exc:
+        raise GraphParseError(exc.problem, location=location) from None
 
 
 def _parse_json(text: str, location: str):
@@ -310,55 +328,21 @@ def _parse_json(text: str, location: str):
         raise GraphParseError("invalid JSON: nested too deeply", location=location) from None
 
 
-def _read_names(raw, location: str) -> list[str]:
-    """A list of unique vertex names (graph vertices, plan detectors)."""
-    _expect(isinstance(raw, list), f"{location} must be a list", location)
-    names: list[str] = []
-    for i, name in enumerate(raw):
-        _expect(isinstance(name, str) and name != "", "vertex name must be a nonempty string", f"{location}[{i}]")
-        _expect(name not in names, f"duplicate vertex {name!r}", f"{location}[{i}]")
-        names.append(name)
-    return names
-
-
-def _read_edge(rec, loc: str, vertices, ids: set[str], default_id: str | None = None) -> Edge:
-    """One edge record of a graph document or plan crystal.  The id falls
-    back to ``default_id``; without one it is required.  Adds the id to
-    ``ids``, which must not hold it yet.  Messages are formatted only on
-    failure, since this runs once per edge of every document."""
+def _read_edge(rec, loc: str, default_id: str | None = None) -> Edge:
+    """One edge record of a graph document or plan crystal, built by
+    :class:`Edge`; a refused field is reported at its place in ``rec``.  The
+    id falls back to ``default_id``; without one it is required."""
     _expect(isinstance(rec, dict), "edge must be an object", loc)
     if not rec.keys() <= _EDGE_KEYS:
         raise GraphParseError(f"unknown keys {sorted(rec.keys() - _EDGE_KEYS)}", location=loc)
-    edge_id = rec.get("id", default_id)
-    _expect(edge_id is not None, "missing id", loc)
-    if not isinstance(edge_id, str) or edge_id == "":
-        raise GraphParseError("id must be a nonempty string", location=f"{loc}.id")
-    if edge_id in ids:
-        raise GraphParseError(f"duplicate edge id {edge_id!r}", location=f"{loc}.id")
-    ids.add(edge_id)
+    _expect("id" in rec or default_id is not None, "missing id", loc)
     for key in ("u", "v"):
         if key not in rec:
             raise GraphParseError(f"missing endpoint {key!r}", location=loc)
-        if rec[key] not in vertices:
-            raise GraphParseError(f"unknown endpoint {rec[key]!r}", location=f"{loc}.{key}")
-    if rec["u"] == rec["v"]:
-        raise GraphParseError(f"self-loop on {rec['u']!r}", location=loc)
-    layer = rec.get("layer")
-    if layer is not None and not (isinstance(layer, int) and not isinstance(layer, bool) and layer >= 0):
-        raise GraphParseError("layer must be a nonnegative integer", location=f"{loc}.layer")
-    amp_mag = _float_value(rec.get("amp_mag", 1.0), f"{loc}.amp_mag")
-    if amp_mag < 0:
-        raise GraphParseError("amp_mag must be >= 0", location=f"{loc}.amp_mag")
-    return Edge(
-        id=edge_id,
-        u=rec["u"],
-        v=rec["v"],
-        mode_u=_mode_value(rec.get("mode_u", 0), f"{loc}.mode_u"),
-        mode_v=_mode_value(rec.get("mode_v", 0), f"{loc}.mode_v"),
-        amp_mag=amp_mag,
-        amp_phase_rad=_float_value(rec.get("amp_phase_rad", 0.0), f"{loc}.amp_phase_rad"),
-        layer=layer,
-    )
+    try:
+        return Edge(**{"id": default_id, **rec})
+    except FieldError as exc:
+        raise GraphParseError(exc.problem, location=f"{loc}.{exc.field}" if exc.field else loc) from None
 
 
 def parse_graph(text: str) -> ExperimentGraph:
@@ -367,18 +351,13 @@ def parse_graph(text: str) -> ExperimentGraph:
     _expect(isinstance(doc, dict), "top level must be an object", "<document>")
     unknown = set(doc) - {"vertices", "measured", "edges"}
     _expect(not unknown, f"unknown keys {sorted(unknown)}", "<document>")
-    vertices = _read_names(doc.get("vertices", []), "vertices")
-
-    raw_measured = doc.get("measured", [])
-    _expect(isinstance(raw_measured, list), "measured must be a list", "measured")
-    for i, name in enumerate(raw_measured):
-        _expect(name in vertices, f"measured vertex {name!r} is not declared", f"measured[{i}]")
-
-    raw_edges = doc.get("edges", [])
-    _expect(isinstance(raw_edges, list), "edges must be a list", "edges")
-    ids: set[str] = set()
-    edges = [_read_edge(rec, f"edges[{i}]", vertices, ids, f"e{i}") for i, rec in enumerate(raw_edges)]
-    return ExperimentGraph(vertices, edges, raw_measured)
+    for key in ("vertices", "measured", "edges"):
+        _expect(isinstance(doc.get(key, []), list), f"{key} must be a list", key)
+    edges = [_read_edge(rec, f"edges[{i}]", f"e{i}") for i, rec in enumerate(doc.get("edges", []))]
+    try:
+        return ExperimentGraph(doc.get("vertices", []), edges, doc.get("measured", []))
+    except FieldError as exc:  # the model names the field by its document location
+        raise GraphParseError(exc.problem, location=exc.field) from None
 
 
 def _edge_record(e: Edge) -> dict:

@@ -75,6 +75,35 @@ def test_parse_errors_carry_location(doc, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "fields, field, problem",
+    [
+        ({"amp_mag": True}, "amp_mag", "expected a number"),
+        ({"amp_phase_rad": False}, "amp_phase_rad", "expected a number"),
+        ({"amp_mag": "1"}, "amp_mag", "expected a number"),
+        ({"amp_phase_rad": None}, "amp_phase_rad", "expected a number"),
+        ({"amp_mag": 10**400}, "amp_mag", "number must be finite"),
+    ],
+)
+def test_edge_refuses_amplitudes_the_readers_refuse(fields, field, problem):
+    with pytest.raises(pg.DomainError) as err:
+        Edge("x", "a", "b", **fields)
+    assert (err.value.field, err.value.problem) == (field, problem)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: ExperimentGraph(["a", "b"], [Edge("x", "a", "b")], measured=[["a"]]), "measured[0]"),
+        (lambda: ExperimentGraph(["a", "b"], [Edge("x", ["a"], "b")]), "edges[0].u"),
+    ],
+)
+def test_unhashable_names_are_domain_errors(make, field):
+    with pytest.raises(pg.DomainError) as err:
+        make()
+    assert err.value.field == field
+
+
 def test_generated_edge_ids():
     doc = '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}, {"u": "a", "v": "b"}]}'
     g = pg.parse_graph(doc)
@@ -265,6 +294,112 @@ def test_immutability():
 
 
 # ---------------------------------------------------------------------------
+# one rule set: the readers refuse what the constructors refuse
+# ---------------------------------------------------------------------------
+
+_NAMES = ["a", "b", "c", "d"]
+# Values of every JSON type, as a document may hold them in any place.
+_ANY = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), -1, 2**53 + 1])
+    | st.floats()
+    | st.sampled_from(["", "a", "e0", "x"])
+    | st.lists(st.sampled_from(_NAMES), max_size=2)
+)
+
+
+@st.composite
+def _edge_fields(draw, names, k):
+    u, v = draw(st.permutations(names))[:2]
+    return {
+        "id": draw(st.just(f"e{k}") | st.text(min_size=1, max_size=2)),
+        "u": u,
+        "v": v,
+        "mode_u": draw(st.integers(0, 3) | st.just(10**30)),
+        "mode_v": draw(st.integers(0, 3)),
+        "amp_mag": draw(st.floats(0, 4) | st.integers(0, 2**70)),
+        "amp_phase_rad": draw(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3)),
+        "layer": draw(st.none() | st.integers(0, 3)),
+    }
+
+
+@st.composite
+def _field_values(draw):
+    """Vertex names, edge field values and measured names of the kinds the
+    model takes, with up to two values of any type put in any place."""
+    names = draw(st.permutations(_NAMES))[: draw(st.integers(2, 4))]
+    vertices = list(names)
+    records = [draw(_edge_fields(names, k)) for k in range(draw(st.integers(0, 4)))]
+    measured = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        target = draw(st.sampled_from([vertices, measured, *records]))
+        if isinstance(target, dict):
+            target[draw(st.sampled_from(sorted(target)))] = draw(_ANY)
+        else:
+            target.append(draw(_ANY))
+    return vertices, records, measured
+
+
+def _constructed(vertices, records, measured):
+    """The graph the constructors build, or their refusal as ``(field,
+    problem)`` with an edge's own field named as in a graph document."""
+    edges = []
+    for k, rec in enumerate(records):
+        try:
+            edges.append(Edge(**rec))
+        except pg.DomainError as exc:
+            return None, (f"edges[{k}].{exc.field}" if exc.field else f"edges[{k}]", exc.problem)
+    try:
+        return ExperimentGraph(vertices, edges, measured), None
+    except pg.DomainError as exc:
+        return None, (exc.field, exc.problem)
+
+
+def _read(read, text):
+    try:
+        return read(text), None
+    except pg.GraphParseError as exc:
+        return None, (exc.location, str(exc).removeprefix(f"{exc.location}: "))
+
+
+@given(_field_values())
+@settings(max_examples=300, deadline=None)
+def test_graph_reader_refuses_what_the_constructors_refuse(values):
+    vertices, records, measured = values
+    text = json.dumps({"vertices": vertices, "measured": measured, "edges": records})
+    assert _read(pg.parse_graph, text) == _constructed(vertices, records, measured)
+
+
+def _plan_location(field):
+    """Crystal 0 is ``layers[0][0]``, crystal k > 0 is ``layers[1][k - 1]``."""
+    if not field.startswith("edges["):
+        return field.replace("vertices", "detectors")
+    k, _, rest = field.removeprefix("edges[").partition("]")
+    return ("layers[0][0]" if k == "0" else f"layers[1][{int(k) - 1}]") + rest
+
+
+@given(_field_values())
+@settings(max_examples=300, deadline=None)
+def test_plan_reader_refuses_what_the_constructors_refuse(values):
+    detectors, records, _ = values
+    crystals = [{key: value for key, value in rec.items() if key != "layer"} for rec in records]
+    layers = [crystals[:1], crystals[1:]]
+    text = json.dumps({"detectors": detectors, "layers": layers, "wiring": {}})
+    _, refusal = _constructed(detectors, crystals, [])
+    plan, read_refusal = _read(pg.parse_plan, text)
+    if refusal is not None:
+        assert read_refusal == (_plan_location(refusal[0]), refusal[1])
+        return
+    assert read_refusal is None
+    assert plan == pg.SetupPlan(tuple(detectors), tuple(tuple(Edge(**c) for c in layer) for layer in layers), {})
+    written = pg.serialize_plan(plan)
+    assert pg.parse_plan(written) == plan
+    assert pg.serialize_plan(pg.parse_plan(written)) == written
+
+
+# ---------------------------------------------------------------------------
 # randomized round-trip property
 # ---------------------------------------------------------------------------
 
@@ -293,8 +428,8 @@ def graphs(draw):
     return ExperimentGraph(names, edges, measured)
 
 
-@given(graphs())
-@settings(max_examples=80, deadline=None)
+@given(graphs() | _field_values().map(lambda values: _constructed(*values)[0]).filter(lambda g: g is not None))
+@settings(max_examples=150, deadline=None)
 def test_round_trip_property(g):
     text = pg.serialize_graph(g)
     assert pg.parse_graph(text) == g
