@@ -17,7 +17,7 @@ of the graph model, and a refusal is reported at its place in the plan.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, FieldError, GraphParseError
 from .graph import Edge, ExperimentGraph, _edge_record, _expect, _parse_json, _read_edge
@@ -74,7 +74,7 @@ def synthesize_setup(g: ExperimentGraph) -> SetupPlan:
                 f"(at edge {e.id!r})",
                 reason="layer-conflict",
             )
-        crystals.setdefault(e.layer, []).append(replace(e, layer=None))
+        crystals.setdefault(e.layer, []).append(Edge(e.id, e.u, e.v, e.mode_u, e.mode_v, e.amp_mag, e.amp_phase_rad))
 
     for e in edges:
         if e.layer is not None:
@@ -110,7 +110,7 @@ def plan_to_graph(plan: SetupPlan) -> ExperimentGraph:
                     f"layer {pos} has two crystals sharing a path (at {c.id!r})",
                     reason="layer-conflict",
                 )
-            edges.append(replace(c, layer=pos))
+            edges.append(Edge(c.id, c.u, c.v, c.mode_u, c.mode_v, c.amp_mag, c.amp_phase_rad, pos))
     g = ExperimentGraph(plan.detectors, edges)
     expected = _wiring(plan.detectors, plan.layers)
     if dict(plan.wiring) != expected:

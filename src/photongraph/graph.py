@@ -36,7 +36,7 @@ import json
 import math
 import random
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, FieldError, GraphParseError, NotBipartiteError
@@ -124,9 +124,13 @@ class Biadjacency(NamedTuple):
 
 class ExperimentGraph:
     """Immutable experiment graph: ordered vertices, labeled multigraph edges,
-    and the set of measured (merged) vertices."""
+    and the set of measured (merged) vertices.
 
-    __slots__ = ("vertices", "edges", "measured", "_index", "_by_id")
+    ``_sums`` is empty after construction; :mod:`photongraph.states` fills
+    it once with the graph's whole-graph cover sums.  A copy or a pickle is
+    rebuilt from vertices, edges and measured vertices and starts empty."""
+
+    __slots__ = ("vertices", "edges", "measured", "_index", "_by_id", "_sums")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge] = (), measured: Iterable[str] = ()):
         vertices = tuple(vertices)
@@ -152,7 +156,7 @@ class ExperimentGraph:
                 if not isinstance(end, str) or end not in index:
                     raise FieldError(f"edges[{k}].{key}", f"unknown endpoint {end!r}", reason="unknown-endpoint")
             if index[e.u] > index[e.v]:
-                e = replace(e, u=e.v, v=e.u, mode_u=e.mode_v, mode_v=e.mode_u)
+                e = Edge(e.id, e.v, e.u, e.mode_v, e.mode_u, e.amp_mag, e.amp_phase_rad, e.layer)
             normalized.append(e)
             by_id[e.id] = e
 
@@ -161,6 +165,10 @@ class ExperimentGraph:
         object.__setattr__(self, "measured", frozenset(measured))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_sums", None)
+
+    def __reduce__(self):
+        return ExperimentGraph, (self.vertices, self.edges, tuple(v for v in self.vertices if v in self.measured))
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
         raise AttributeError("ExperimentGraph is immutable")
@@ -425,7 +433,8 @@ def merge_graphs(
         if new_id in used_ids:
             raise DomainError(f"cannot namespace colliding edge id {e.id!r}", reason="duplicate-edge")
         used_ids.add(new_id)
-        edges.append(replace(e, id=new_id, u=rename.get(e.u, e.u), v=rename.get(e.v, e.v)))
+        edges.append(Edge(new_id, rename.get(e.u, e.u), rename.get(e.v, e.v), e.mode_u, e.mode_v,
+                          e.amp_mag, e.amp_phase_rad, e.layer))
     return ExperimentGraph(vertices, edges, measured)
 
 

@@ -13,6 +13,14 @@ all covers, without enumerating them (``_cover_sums``).  States,
 verification, frustration scans and the network terms are built on it;
 explicit matchings are listed by :mod:`photongraph.matching`.
 
+A graph's whole-graph cover sums are computed once, kept on the graph and
+dropped with it (graphs are immutable).  ``state_from_graph``,
+``verify_target``, ``network_state`` and ``network_amplitude`` all read
+them, so asking several of these of one graph runs the kernel once; each
+call still applies the scale guard and returns a state of its own.
+``frustration_scan`` and the target search run the kernel on their own
+edge sets (the graph less one edge, or a candidate's labels).
+
 Amplitudes below ``AMP_TOL`` are pruned; state comparisons fix the global
 phase by rotating the first nonzero amplitude (in ket order) onto the
 positive real axis.  The scale guard is the enumeration guard of
@@ -213,6 +221,28 @@ def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple | None = 
     return sums
 
 
+def _graph_sums(g: ExperimentGraph) -> tuple[dict[Ket, complex], complex]:
+    """The pruned, unnormalized terms of ``g`` in ket order, and the sum of
+    all its cover sums, nothing pruned, in the kernel's summation order.
+
+    The one whole-graph kernel run: its result is kept on ``g`` and read by
+    every later call.  Sums that overflow are refused and kept nowhere.
+    Two threads filling it at once compute equal sums, and the slot holds
+    either nothing or one complete result."""
+    sums = g._sums
+    if sums is None:
+        edges = _indexed(g, g.edges)
+        radix = _radix(edges)
+        raw = _cover_sums([v in g.measured for v in g.vertices], edges, radix)
+        if not all(map(cmath.isfinite, raw.values())):
+            raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
+        codes = sorted(code for code, amp in raw.items() if abs(amp) > AMP_TOL)
+        kets = _decode(codes, radix, len(g.ket_vertices))
+        sums = ({ket: raw[code] for ket, code in zip(kets, codes)}, sum(raw.values(), 0j))
+        object.__setattr__(g, "_sums", sums)
+    return sums
+
+
 def state_from_graph(
     g: ExperimentGraph, normalize: bool = False, *, override_limits: bool = False
 ) -> QuantumState:
@@ -223,31 +253,21 @@ def state_from_graph(
     if everything cancelled there is nothing to normalize and a
     fully-frustrated error is raised."""
     _check_scale(g, override_limits)
-    edges = _indexed(g, g.edges)
-    radix = _radix(edges)
-    sums = _cover_sums([v in g.measured for v in g.vertices], edges, radix)
-    if not all(map(cmath.isfinite, sums.values())):
-        raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
-    codes = sorted(code for code, amp in sums.items() if abs(amp) > AMP_TOL)
-    kets = _decode(codes, radix, len(g.ket_vertices))
-    state = QuantumState({ket: sums[code] for ket, code in zip(kets, codes)})
-    if normalize:
-        norm = math.hypot(*map(abs, state.terms.values()))
-        if not math.isfinite(norm):
-            raise DomainError("the state's norm overflows double precision", reason="overflow")
-        if norm <= AMP_TOL:
-            raise FullyFrustratedError(
-                "all coincidence amplitudes cancel; the state cannot be normalized"
-            )
-        state = QuantumState({k: a / norm for k, a in state.terms.items()}, normalized=True)
-    return state
+    terms, _ = _graph_sums(g)
+    if not normalize:
+        return QuantumState(dict(terms))
+    norm = math.hypot(*map(abs, terms.values()))
+    if not math.isfinite(norm):
+        raise DomainError("the state's norm overflows double precision", reason="overflow")
+    if norm <= AMP_TOL:
+        raise FullyFrustratedError("all coincidence amplitudes cancel; the state cannot be normalized")
+    return QuantumState({k: a / norm for k, a in terms.items()}, normalized=True)
 
 
 def _cover_amplitude_sum(g: ExperimentGraph, *, override_limits: bool = False) -> complex:
     """Sum over all coincidence covers of their amplitudes, nothing pruned."""
     _check_scale(g, override_limits)
-    edges = _indexed(g, g.edges)
-    total = sum(_cover_sums([v in g.measured for v in g.vertices], edges, _radix(edges)).values(), 0j)
+    _, total = _graph_sums(g)
     if not cmath.isfinite(total):
         raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
     return total

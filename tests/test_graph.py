@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -115,6 +117,23 @@ def test_round_trip_k4_identity():
     text = pg.serialize_graph(g)
     assert pg.parse_graph(text) == g
     assert pg.serialize_graph(pg.parse_graph(text)) == text
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_equal_the_graph_and_carry_no_state(duplicate):
+    """Copying and pickling rebuild the graph from its vertices, edges and
+    measured vertices; a copy made after the graph's state was computed
+    starts without it and computes the same state."""
+    merged = pg.merge_graphs(pg.complete_graph(4), ExperimentGraph(["x", "y"], [Edge("f", "y", "x", 1, 0)]),
+                             [("d", "x")])
+    for g in (pg.complete_graph(4), merged):
+        assert duplicate(g) == g
+        state = pg.state_from_graph(g, normalize=True)
+        twin = duplicate(g)
+        assert twin == g and twin.measured == g.measured and twin.edges == g.edges
+        assert twin._sums is None
+        assert pg.state_from_graph(twin, normalize=True) == state
 
 
 def test_serialization_canonicalizes_edge_order():

@@ -518,3 +518,70 @@ def test_state_guard_still_refuses_large_edge_sets():
         pg.state_from_graph(g)
     with pytest.raises(pg.ScaleLimitError):
         pg.frustration_scan(g, "e0", [0.0])
+
+
+# ---------------------------------------------------------------------------
+# the whole-graph cover sums, computed once per graph
+# ---------------------------------------------------------------------------
+
+def test_state_questions_of_one_graph_run_the_kernel_once(monkeypatch):
+    """State, normalized state, verification and both network terms of one
+    graph share one whole-graph kernel run."""
+    runs = []
+    kernel = pg.states._cover_sums
+    monkeypatch.setattr(pg.states, "_cover_sums", lambda *args, **kwargs: runs.append(1) or kernel(*args, **kwargs))
+    g = k4_ghz()
+    state = pg.state_from_graph(g)
+    target = pg.state_from_graph(g, True)
+    assert pg.verify_target(g, target)
+    assert pg.network_state(g, 0.5).terms == {k: a * 0.25 for k, a in state.terms.items()}
+    assert pg.network_amplitude(g, 0.5) == 0.25 * sum(state.terms.values())
+    assert len(runs) == 1
+
+
+def test_mutating_a_returned_state_leaves_the_graph_state_alone():
+    """Every call returns terms of its own, so a caller that edits them
+    cannot change what the next call returns."""
+    g = layered6()
+    first = pg.state_from_graph(g)
+    expected = dict(first.terms)
+    first.terms.clear()
+    pg.network_state(g, 1.0).terms[(9,) * 6] = 1j
+    assert pg.state_from_graph(g).terms == expected
+    assert pg.network_state(g, 1.0).terms == expected
+    normalized = pg.state_from_graph(g, True)
+    normalized.terms.popitem()
+    assert pg.state_from_graph(g, True).norm_sq() == pytest.approx(1.0)
+
+
+def test_kept_sums_do_not_lift_the_scale_guard():
+    """Sums computed past the guard once are not handed to a later call
+    that does not override it."""
+    g = pg.complete_graph(12)
+    assert len(g.edges) > pg.matching.EDGE_LIMIT
+    assert pg.state_from_graph(g, override_limits=True).terms == {(0,) * 12: 10395}
+    with pytest.raises(pg.ScaleLimitError):
+        pg.state_from_graph(g)
+    with pytest.raises(pg.ScaleLimitError):
+        pg.verify_target(g, QuantumState({(0,) * 12: 1}))
+    with pytest.raises(pg.ScaleLimitError):
+        pg.network_state(g, 1.0)
+    with pytest.raises(pg.ScaleLimitError):
+        pg.network_amplitude(g, 1.0)
+
+
+def test_errors_repeat_on_every_call():
+    """A fully frustrated graph refuses normalization each time it is
+    asked, and sums that overflow are refused each time and kept nowhere."""
+    g = double_edge(math.pi)
+    for _ in range(2):
+        with pytest.raises(pg.FullyFrustratedError):
+            pg.state_from_graph(g, normalize=True)
+    huge = ExperimentGraph(
+        ["a", "b", "c", "d"], [Edge("x", "a", "b", amp_mag=1e300), Edge("y", "c", "d", amp_mag=1e300)]
+    )
+    for question in (pg.state_from_graph, lambda g: pg.network_amplitude(g, 1.0)) * 2:
+        with pytest.raises(pg.DomainError) as err:
+            question(huge)
+        assert err.value.reason == "overflow"
+        assert huge._sums is None
