@@ -6,10 +6,10 @@ Errors print one line ``error: <reason-code>: <message>`` on stderr.
 handler returns a structured payload and text lines, and ``main`` prints one.
 
 A call imports only the modules its subcommand runs: ``graph`` and
-``errors`` always, and the kernel module (``matching``, ``states``,
-``counting`` and so on) when a handler first asks for it.  Handlers reach a
-kernel through ``_kernel``, which reads the module attribute ``cli.<kernel>``
-at call time, so a stand-in set there (a tracer, a test stub) is what runs.
+``errors`` always, the kernel module (``matching``, ``states``, ``counting``
+and so on) when a handler first asks for it, and never ``dataclasses``.
+Handlers reach a kernel through ``_kernel``, which reads ``cli.<kernel>`` at
+call time, so a stand-in set there (a tracer, a test stub) is what runs.
 """
 
 from __future__ import annotations

@@ -17,10 +17,9 @@ of the graph model, and a refusal is reported at its place in the plan.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import DomainError, FieldError, GraphParseError
-from .graph import Edge, ExperimentGraph, _edge_record, _expect, _parse_json, _read_edge
+from .graph import Edge, ExperimentGraph, _Record, _edge_record, _expect, _parse_json, _read_edge
 
 __all__ = [
     "SetupPlan",
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class SetupPlan:
+class SetupPlan(_Record):
     """Detectors, crystal layers and path wiring.  Crystals are edges whose
     ``layer`` is None."""
 

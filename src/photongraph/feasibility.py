@@ -11,11 +11,10 @@ the search already failed, or a minimal violating subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError, ScaleLimitError
-from .graph import ExperimentGraph
+from .graph import ExperimentGraph, _FrozenRecord
 from .matching import Matching
 
 __all__ = [
@@ -29,16 +28,14 @@ __all__ = [
 TUTTE_VERTEX_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class HallWitness:
+class HallWitness(_FrozenRecord):
     """Subset of part X whose exact neighborhood in Y is smaller than it."""
 
     subset_w: tuple[str, ...]
     neighborhood: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TutteWitness:
+class TutteWitness(_FrozenRecord):
     """Vertex subset whose removal leaves more odd components than |U|."""
 
     subset_u: tuple[str, ...]

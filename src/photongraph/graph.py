@@ -8,7 +8,8 @@ pump the same pair of paths.  Self-loops are forbidden, since a pair source
 always feeds two distinct paths.
 
 Graphs are immutable values.  All functions in this module are pure and
-safe to call concurrently.
+safe to call concurrently.  ``Edge`` and every other record of the package
+is a plain class over ``_Record``, so no import loads ``dataclasses``.
 
 File format (UTF-8 JSON): top-level object with
 
@@ -35,8 +36,7 @@ import cmath
 import json
 import math
 import random
-import string
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, FieldError, GraphParseError, NotBipartiteError
@@ -55,8 +55,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Edge:
+class _Record:
+    """Mutable, unhashable record of the fields annotated in its class body
+    (after a base record's), built by position or by name.  ``repr`` and
+    ``==`` read them in order as a dataclass's do; ``_values(r)`` reads them
+    (the one value of a one-field record)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__annotations__)
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) + len(kwargs) != len(self._fields) or not set(kwargs) <= set(self._fields[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
+        kwargs.update(zip(self._fields, args))
+        self.__dict__.update({name: kwargs[name] for name in self._fields})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __eq__(self, other):
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+class _FrozenRecord(_Record):
+    """Record that hashes by value and refuses assignment and deletion."""
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Edge(_FrozenRecord):
     """One pair source. ``mode_u``/``mode_v`` are the mode labels the photons
     carry into paths ``u``/``v``; the amplitude defaults to 1 at phase 0.
     Magnitude and phase are stored as floats: an integer is converted, and
@@ -65,13 +103,16 @@ class Edge:
     id: str
     u: str
     v: str
-    mode_u: int = 0
-    mode_v: int = 0
-    amp_mag: float = 1.0
-    amp_phase_rad: float = 0.0
-    layer: int | None = None
+    mode_u: int
+    mode_v: int
+    amp_mag: float
+    amp_phase_rad: float
+    layer: int | None
 
-    def __post_init__(self):
+    def __init__(self, id: str, u: str, v: str, mode_u: int = 0, mode_v: int = 0,
+                 amp_mag: float = 1.0, amp_phase_rad: float = 0.0, layer: int | None = None):
+        self.__dict__.update(id=id, u=u, v=v, mode_u=mode_u, mode_v=mode_v, amp_mag=amp_mag,
+                             amp_phase_rad=amp_phase_rad, layer=layer)
         if not isinstance(self.id, str) or not self.id:
             raise FieldError("id", "id must be a nonempty string")
         if self.u == self.v:
@@ -440,7 +481,7 @@ def merge_graphs(
 
 def vertex_names(n: int) -> tuple[str, ...]:
     """Default path names: a..z, then v26, v27, ..."""
-    letters = string.ascii_lowercase
+    letters = "abcdefghijklmnopqrstuvwxyz"
     return tuple(letters[i] if i < 26 else f"v{i}" for i in range(n))
 
 
@@ -477,12 +518,15 @@ def _graph_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> ExperimentGra
 
 
 def to_dot(g: ExperimentGraph) -> str:
-    """Graphviz export; every edge is labeled ``id:(mode_u,mode_v)``."""
+    """Graphviz export; every edge is labeled ``id:(mode_u,mode_v)``.  Each
+    name and label is a quoted string with ``\\`` and ``"`` escaped."""
+    esc = str.maketrans({"\\": "\\\\", '"': '\\"'})
     lines = ["graph experiment {"]
     for v in g.vertices:
         attrs = " [peripheries=2]" if v in g.measured else ""
-        lines.append(f'  "{v}"{attrs};')
+        lines.append(f'  "{v.translate(esc)}"{attrs};')
     for e in sorted(g.edges, key=lambda e: e.id):
-        lines.append(f'  "{e.u}" -- "{e.v}" [label="{e.id}:({e.mode_u},{e.mode_v})"];')
+        label = f"{e.id}:({e.mode_u},{e.mode_v})".translate(esc)
+        lines.append(f'  "{e.u.translate(esc)}" -- "{e.v.translate(esc)}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

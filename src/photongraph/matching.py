@@ -19,12 +19,11 @@ can be overridden by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
 from .errors import DomainError, ScaleLimitError
-from .graph import ExperimentGraph, _graph_from_pairs
+from .graph import ExperimentGraph, _FrozenRecord, _graph_from_pairs
 
 __all__ = [
     "Matching",
@@ -51,15 +50,13 @@ EDGE_LIMIT = 60
 SCAN_VERTEX_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_FrozenRecord):
     """Partition of the whole edge set into pairwise disjoint matchings."""
 
     factors: tuple[Matching, ...]
 
 
-@dataclass(frozen=True)
-class LayerReport:
+class LayerReport(_FrozenRecord):
     """Perfect matchings split into those equal to one tagged layer and the
     maverick ones assembled from several layers."""
 

@@ -15,8 +15,8 @@ the hafnian of the graph's adjacency matrix.  Since no trial calls
 ``hafnian``, a scan applies its order guard itself, before any sampling.
 With several workers, one process pool per scan takes every (p, trial
 range) chunk, with no more processes than cores or chunks; the pool class is
-imported only then, so a serial scan never loads
-``concurrent.futures.process``.
+imported only then, so a serial scan never loads ``concurrent.futures.process``
+(and only the network terms import :mod:`~photongraph.states`).
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import Counter
-from dataclasses import dataclass
 
 from .counting import _check_hafnian_order, _unit_matchings
 from .errors import DomainError
-from .graph import ExperimentGraph, _gnp_pairs
-from .states import QuantumState, _cover_amplitude_sum, state_from_graph
+from .graph import ExperimentGraph, _Record, _gnp_pairs
 
 __all__ = [
     "EnsembleReport",
@@ -52,8 +50,7 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
-@dataclass
-class EnsembleReport:
+class EnsembleReport(_Record):
     n: int
     p: float
     trials: int
@@ -122,16 +119,8 @@ def ensemble_scan(
     reports = []
     for p, counts in zip(p_values, histograms):
         existing = sum(freq for count, freq in counts.items() if count > 0)
-        reports.append(
-            EnsembleReport(
-                n=n,
-                p=float(p),
-                trials=trials,
-                seed=seed,
-                pm_exists_fraction=existing / trials,
-                pm_count_histogram=dict(sorted(counts.items())),
-            )
-        )
+        reports.append(EnsembleReport(n=n, p=float(p), trials=trials, seed=seed, pm_exists_fraction=existing / trials,
+                                      pm_count_histogram=dict(sorted(counts.items()))))
     return reports
 
 
@@ -148,6 +137,7 @@ def network_state(g: ExperimentGraph, p: float, *, override_limits: bool = False
     """Unnormalized first-order coincidence terms: every cover amplitude is
     scaled by p^(pairs), one factor per firing crystal.  Kets are pruned at
     p = 1, before scaling, so a small p drops no ket."""
+    from .states import QuantumState, state_from_graph
     _check_network(g, p)
     weight = p ** (len(g.vertices) // 2)
     state = state_from_graph(g, override_limits=override_limits)
@@ -157,6 +147,7 @@ def network_state(g: ExperimentGraph, p: float, *, override_limits: bool = False
 def network_amplitude(g: ExperimentGraph, p: float, *, override_limits: bool = False) -> complex:
     """Lowest-order 2n-fold coincidence amplitude:
     p^n * sum over perfect matchings of the edge-amplitude products."""
+    from .states import _cover_amplitude_sum
     _check_network(g, p)
     return _cover_amplitude_sum(g, override_limits=override_limits) * p ** (len(g.vertices) // 2)
 

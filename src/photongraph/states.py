@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import DomainError, FullyFrustratedError, GraphParseError
-from .graph import Edge, ExperimentGraph, _expect, _float_value, _parse_json, vertex_names
+from .graph import Edge, ExperimentGraph, _Record, _expect, _float_value, _parse_json, vertex_names
 from .matching import _check_scale, _covers
 
 __all__ = [
@@ -57,12 +56,15 @@ AMP_TOL = 1e-9
 Ket = tuple[int, ...]
 
 
-@dataclass
-class QuantumState:
+class QuantumState(_Record):
     """Map from ket (mode per non-measured vertex) to complex amplitude."""
 
-    terms: dict[Ket, complex] = field(default_factory=dict)
-    normalized: bool = False
+    terms: dict[Ket, complex]
+    normalized: bool
+
+    def __init__(self, terms: dict[Ket, complex] | None = None, normalized: bool = False):
+        self.terms = {} if terms is None else terms
+        self.normalized = normalized
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.terms.values())

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +296,11 @@ def test_dot_export():
     assert '"a" -- "b" [label="I:(0,0)"];' in text
     merged = pg.merge_graphs(k4_ghz(("a", "b", "c", "d")), k4_ghz(("e", "f", "g", "h")), [("d", "e")])
     assert "peripheries=2" in pg.to_dot(merged)
+    names = ['a"b', "c\\", 'd\\"e', "f"]
+    g = ExperimentGraph(names, [Edge('q"1', 'a"b', "c\\", 1, 0), Edge("r\\", 'd\\"e', "f")])
+    quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', pg.to_dot(g))
+    read = [re.sub(r"\\(.)", r"\1", q) for q in quoted]
+    assert read == names + ['a"b', "c\\", 'q"1:(1,0)', 'd\\"e', "f", "r\\:(0,0)"]
 
 
 def test_measured_vertices_serialize():

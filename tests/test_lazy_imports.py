@@ -37,13 +37,14 @@ SUBCOMMAND_KERNELS = {
     "merge": (set(), ["merge", "k4.graph", "k4b.graph", "--pairs", "d:e"]),
     "synth": ({"compiler"}, ["synth", "k6f.graph"]),
     "unsynth": ({"compiler"}, ["unsynth", "k6f.plan"]),
-    "random": ({"networks", "counting", "states", "matching"},
+    "random": ({"networks", "counting"},
                ["random", "--n", "4", "--p", "0.5", "--trials", "5", "--seed", "1", "--threads", "1"]),
     "dot": (set(), ["dot", "k4.graph"]),
 }
 
 # Runs cli.main on the given arguments in a fresh interpreter and reports
-# its exit code and what it imported.
+# its exit code, what it imported and whether the process pool and
+# ``dataclasses`` were loaded.
 PROBE = """
 import contextlib, io, json, sys
 from photongraph import cli
@@ -53,6 +54,7 @@ print(json.dumps({
     "code": code,
     "modules": sorted(m[len("photongraph."):] for m in sys.modules if m.startswith("photongraph.")),
     "pool": "concurrent.futures.process" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
 }))
 """
 
@@ -90,6 +92,7 @@ def test_a_subcommand_imports_only_its_kernels(workdir, command):
     assert report["code"] == 0
     assert set(report["modules"]) == {"cli", "errors", "graph"} | kernels
     assert not report["pool"]
+    assert not report["dataclasses"]
 
 
 def test_only_a_parallel_scan_imports_the_process_pool(workdir):
