@@ -67,12 +67,12 @@ class _Record:
         cls._fields += tuple(cls.__annotations__)
         if cls._fields:
             cls._values = attrgetter(*cls._fields)
-
-    def __init__(self, *args, **kwargs):
-        if len(args) + len(kwargs) != len(self._fields) or not set(kwargs) <= set(self._fields[len(args):]):
-            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
-        kwargs.update(zip(self._fields, args))
-        self.__dict__.update({name: kwargs[name] for name in self._fields})
+        if cls._fields and "__init__" not in vars(cls):
+            # Compiled once per class: a generic (*args, **kwargs) __init__
+            # takes twice as long per record (6240 per K8 factorization).
+            body = "".join(f"\n    d[{n!r}] = {n}" for n in cls._fields)
+            exec(f"def __init__(self, {', '.join(cls._fields)}):\n    d = self.__dict__{body}", ns := {})
+            cls.__init__ = ns["__init__"]
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
