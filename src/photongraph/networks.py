@@ -13,20 +13,20 @@ written into one bitmask of later neighbours per vertex and handed to the
 unit-graph matching counter of :mod:`~photongraph.counting`, which gives
 the hafnian of the graph's adjacency matrix.  Since no trial calls
 ``hafnian``, a scan applies its order guard itself, before any sampling.
-With several workers, one process pool per scan takes every (p, trial
-range) chunk, with no more processes than cores or chunks; the pool class is
-imported only then, so a serial scan never loads ``concurrent.futures.process``
-(and only the network terms import :mod:`~photongraph.states`).
+With several workers, the caller counts one contiguous trial range of every
+p and forks a child per other range, which pipes its histograms back as
+``marshal`` bytes (only the network terms import :mod:`~photongraph.states`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 import os
 from collections import Counter
 
 from .counting import _check_hafnian_order, _unit_matchings
-from .errors import DomainError
+from .errors import DomainError, PhotonGraphError
 from .graph import ExperimentGraph, _Record, _gnp_pairs
 
 __all__ = [
@@ -37,17 +37,6 @@ __all__ = [
     "network_state",
     "report_csv_rows",
 ]
-
-
-def __getattr__(name: str):
-    """``networks.ProcessPoolExecutor`` is imported on first access and kept
-    as a module attribute (PEP 562)."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
 
 
 class EnsembleReport(_Record):
@@ -78,6 +67,38 @@ def _count_range(n: int, p: float, seed: int, start: int, stop: int) -> Counter:
     return counts
 
 
+def _fork_share(n: int, p_values: list, seed: int, start: int, stop: int):
+    """Fork a child that pipes the histograms of trials ``start..stop-1`` of
+    every p back as ``marshal`` bytes, and return ``collect``, which reaps it."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child leaves by os._exit, never into the caller's stack
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps([dict(_count_range(n, p, seed, start, stop)) for p in p_values]))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+
+    def collect(kill: bool = False):
+        data = None
+        try:
+            with open(read, "rb") as pipe:
+                data = None if kill else pipe.read()  # to EOF: it can outgrow the pipe buffer
+        finally:
+            if data is None:
+                from signal import SIGKILL
+                os.kill(pid, SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+        if not kill and (status or not data):
+            raise PhotonGraphError(f"ensemble worker {pid} failed (wait status {status})", reason="worker-failed")
+        return data and marshal.loads(data)
+
+    return collect
+
+
 def ensemble_scan(
     n: int,
     p_values,
@@ -89,10 +110,10 @@ def ensemble_scan(
     """Sample ``trials`` graphs per probability and report the fraction with
     at least one perfect matching plus the full count histogram.  Every
     argument, and the hafnian order guard on ``n``, is checked before any
-    sampling.  With ``workers > 1`` one process pool serves every
-    probability; it gets no more processes than the machine has cores or
-    than there are trial chunks to send, so a large ``workers`` forks no
-    more than that."""
+    sampling.  ``workers`` processes (at most one per core and per trial)
+    each count one trial range of every p: the caller counts the first and
+    adds the histograms of ``workers - 1`` forked children, which never
+    outlive the call.  Without ``os.fork``, or with no p, it runs serially."""
     if n % 2 != 0 or n < 2:
         raise DomainError(f"vertex count must be even and >= 2 for matching statistics, got {n}")
     if trials < 1:
@@ -104,24 +125,20 @@ def ensemble_scan(
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"edge probability must lie in [0, 1], got {p}")
     _check_hafnian_order(n)
-    workers = min(workers, os.cpu_count() or 1)
-    chunk = max(1, trials // (workers * 4))
-    bounds = list(range(0, trials, chunk)) + [trials]
-    spans = list(zip(bounds, bounds[1:]))
-    workers = min(workers, len(spans) * len(p_values))
-    if workers > 1:
-        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with pool_class(max_workers=workers) as pool:
-            futures = [[pool.submit(_count_range, n, p, seed, lo, hi) for lo, hi in spans] for p in p_values]
-            histograms = [sum((future.result() for future in per_p), Counter()) for per_p in futures]
-    else:
-        histograms = [_count_range(n, p, seed, 0, trials) for p in p_values]
-    reports = []
-    for p, counts in zip(p_values, histograms):
-        existing = sum(freq for count, freq in counts.items() if count > 0)
-        reports.append(EnsembleReport(n=n, p=float(p), trials=trials, seed=seed, pm_exists_fraction=existing / trials,
-                                      pm_count_histogram=dict(sorted(counts.items()))))
-    return reports
+    workers = min(workers, os.cpu_count() or 1, trials) if p_values and hasattr(os, "fork") else 1
+    bounds = [trials * k // workers for k in range(workers + 1)]
+    children = []
+    try:  # extend keeps the children forked before a failed fork
+        children.extend(_fork_share(n, p_values, seed, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:]))
+        histograms = [_count_range(n, p, seed, 0, bounds[1]) for p in p_values]
+        while children:
+            for counts, theirs in zip(histograms, children.pop()()):
+                counts.update(theirs)
+    finally:
+        for collect in children:
+            collect(kill=True)
+    return [EnsembleReport(n=n, p=float(p), trials=trials, seed=seed, pm_exists_fraction=(trials - counts[0]) / trials,
+                           pm_count_histogram=dict(sorted(counts.items()))) for p, counts in zip(p_values, histograms)]
 
 
 def _check_network(g: ExperimentGraph, p: float):

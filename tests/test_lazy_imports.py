@@ -1,5 +1,6 @@
-"""Lazy imports: the package namespace, the CLI's kernel modules and the
-process pool load on first use, so a CLI call imports only what it runs."""
+"""Lazy imports: the package namespace and the CLI's kernel modules load on
+first use, so a CLI call imports only what it runs, and no call, not even a
+parallel ensemble scan, loads a process pool."""
 
 from __future__ import annotations
 
@@ -43,8 +44,9 @@ SUBCOMMAND_KERNELS = {
 }
 
 # Runs cli.main on the given arguments in a fresh interpreter and reports
-# its exit code, what it imported and whether the process pool and
-# ``dataclasses`` were loaded.
+# its exit code, what it imported and whether a process pool
+# (``concurrent.futures`` or ``multiprocessing``) and ``dataclasses`` were
+# loaded.
 PROBE = """
 import contextlib, io, json, sys
 from photongraph import cli
@@ -53,7 +55,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({
     "code": code,
     "modules": sorted(m[len("photongraph."):] for m in sys.modules if m.startswith("photongraph.")),
-    "pool": "concurrent.futures.process" in sys.modules,
+    "pool": any(m.split(".")[0] == "multiprocessing" or m.startswith("concurrent.futures") for m in sys.modules),
     "dataclasses": "dataclasses" in sys.modules,
 }))
 """
@@ -95,9 +97,12 @@ def test_a_subcommand_imports_only_its_kernels(workdir, command):
     assert not report["dataclasses"]
 
 
-def test_only_a_parallel_scan_imports_the_process_pool(workdir):
+def test_a_parallel_scan_imports_no_process_pool(workdir):
     argv = ["random", "--n", "4", "--p", "0.5", "--trials", "4", "--seed", "1", "--threads", "2"]
-    assert _python(PROBE, *argv, cwd=workdir)["pool"]
+    report = _python(PROBE, *argv, cwd=workdir)
+    assert report["code"] == 0
+    assert set(report["modules"]) == {"cli", "errors", "graph", "networks", "counting"}
+    assert not report["pool"]
 
 
 def test_bare_import_loads_no_submodule_and_names_resolve_on_first_use():

@@ -6,7 +6,6 @@ import math
 import os
 import random
 from collections import Counter
-from concurrent.futures import Future
 
 import pytest
 
@@ -102,10 +101,10 @@ def no_sampling(monkeypatch):
     from photongraph import networks
 
     def no_work(*args, **kwargs):
-        raise AssertionError("sampling or a pool started before every argument was checked")
+        raise AssertionError("sampling or a fork started before every argument was checked")
 
     monkeypatch.setattr(networks, "_count_range", no_work)
-    monkeypatch.setattr(networks, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(os, "fork", no_work)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -121,45 +120,90 @@ def test_ensemble_refuses_large_orders_before_sampling(no_sampling, workers):
     assert str(err.value) == "hafnian order 26 exceeds the guard (<= 24)"
 
 
-class _InlinePool:
-    """Stands in for the process pool: runs each chunk at once in this
-    process and records the pool size each scan asks for."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
 @pytest.mark.parametrize(
     "cpus, workers, trials, ps, sizes",
     [
-        (8, 100_000, 3, [0.5], [3]),  # three chunks to send
-        (2, 100_000, 50, [0.3, 0.7], [2]),  # two cores
-        (8, 4, 1, [0.5], []),  # one chunk: no pool
-        (None, 4, 50, [0.5], []),  # core count unknown: no pool
+        (8, 100_000, 3, [0.5], [1, 1]),  # three trials: the caller and two children
+        (2, 100_000, 50, [0.3, 0.7], [25]),  # two cores: one child
+        (8, 4, 1, [0.5], []),  # one trial: no child
+        (None, 4, 50, [0.5], []),  # core count unknown: no child
+        (8, 4, 50, [], []),  # no p: no child
     ],
 )
 def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, trials, ps, sizes):
+    """``sizes`` lists the trial count of each child a scan starts; an
+    in-process stand-in for the fork counts its share at once."""
     from photongraph import networks
 
+    started = []
+
+    def fork_share(n, p_values, seed, start, stop):
+        started.append(stop - start)
+        histograms = [dict(networks._count_range(n, p, seed, start, stop)) for p in p_values]
+        return lambda kill=False: None if kill else histograms
+
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(networks, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(networks, "_fork_share", fork_share)
     reports = pg.ensemble_scan(4, ps, trials, 1, workers=workers)
-    assert _InlinePool.sizes == sizes
+    assert started == sizes
     assert reports == pg.ensemble_scan(4, ps, trials, 1)
+
+
+@pytest.fixture
+def fail_share(monkeypatch):
+    """Two cores, and a ``_count_range`` that raises the exception given to
+    ``fail_share(exc, in_caller)`` in the caller or in a child; after the
+    test no child of this process is left."""
+    from photongraph import networks
+
+    count_range, caller, failure = networks._count_range, os.getpid(), []
+
+    def count_or_fail(*args):
+        if failure and (os.getpid() == caller) == failure[1]:
+            raise failure[0]
+        return count_range(*args)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(networks, "_count_range", count_or_fail)
+    yield lambda exc, in_caller: failure.extend((exc, in_caller))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_child_is_a_worker_failed_error(fail_share):
+    fail_share(RuntimeError("the child's share failed"), False)
+    with pytest.raises(pg.PhotonGraphError) as err:
+        pg.ensemble_scan(6, [0.2, 0.5], 40, 3, workers=2)
+    assert err.value.reason == "worker-failed"
+
+
+def test_the_cli_reports_a_failed_child_on_one_line(fail_share, capsys):
+    from photongraph import cli
+
+    fail_share(RuntimeError("the child's share failed"), False)
+    argv = ["random", "--n", "6", "--p", "0.5", "--trials", "40", "--seed", "3", "--threads", "2"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: worker-failed: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("the caller's share failed"), KeyboardInterrupt()])
+def test_a_failed_caller_share_propagates_after_the_children_are_reaped(fail_share, exc):
+    fail_share(exc, True)
+    with pytest.raises(type(exc)):
+        pg.ensemble_scan(12, [0.2, 0.5], 4000, 3, workers=2)
+
+
+def test_a_large_child_histogram_comes_through_the_pipe(monkeypatch):
+    """A child's histograms can be far larger than the 64 KiB pipe buffer;
+    the caller reads them whole before it reaps the child."""
+    from photongraph import networks
+
+    big = {count: count for count in range(20_000)}
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(networks, "_count_range", lambda *args: Counter(big))
+    report = pg.ensemble_scan(6, [0.5], 2, 0, workers=2)[0]
+    assert report.pm_count_histogram == {count: 2 * count for count in range(20_000)}
 
 
 @pytest.mark.parametrize("n", range(2, 15, 2))
