@@ -94,7 +94,7 @@ def _fork_share(n: int, p_values: list, seed: int, start: int, stop: int):
             status = os.waitpid(pid, 0)[1]
         if not kill and (status or not data):
             raise PhotonGraphError(f"ensemble worker {pid} failed (wait status {status})", reason="worker-failed")
-        return data and marshal.loads(data)
+        return None if kill else marshal.loads(data)
 
     return collect
 
