@@ -12,8 +12,11 @@ the expansion never visits a zero entry.  It forms the same products in the
 same order as a walk over every index, so float and complex results do not
 depend on the sparsity.  The G(n, p) ensemble, whose graphs are simple,
 counts their perfect matchings with a separate counter that takes only
-those bitmasks (``later[i]``, the neighbours of vertex i above i) and adds
-counts level by level, with no multiplication and no rows.
+those bitmasks (``later[t][i]``, the neighbours of vertex i above i joined
+by an edge of tier t) and adds counts level by level, with no
+multiplication and no rows.  One pass counts a chain of nested graphs, one
+per tier, such as the graphs of one G(n, p) trial at several p: each count
+packs one field per graph into one integer.
 
 Integer matrices are computed in arbitrary-precision integer arithmetic
 (counts overflow 64 bits near order 20).  Complex and float inputs use
@@ -23,6 +26,7 @@ double precision; results should be compared at a 1e-9 tolerance.
 from __future__ import annotations
 
 import cmath
+import math
 
 from .errors import DomainError, NotBipartiteError, ScaleLimitError
 from .graph import ExperimentGraph
@@ -118,44 +122,65 @@ def hafnian(matrix, *, override_limits: bool = False):
     return _finite(rec, (1 << n) - 1) if n else 1
 
 
-def _unit_matchings(later: list[int]) -> int:
-    """Number of perfect matchings of the simple graph on ``len(later)``
-    vertices, an even number >= 2, in which vertex i is joined to the
-    vertices in the bitmask ``later[i]``, all of them above i.
+def _unit_matchings(later: list[list[int]]) -> list[int]:
+    """Numbers of perfect matchings of nested simple graphs on
+    ``len(later[0])`` vertices, an even number >= 2.  ``later[t][i]`` is the
+    bitmask of the vertices above i that are joined to vertex i by an edge
+    of tier t; graph k holds the edges of tiers 0..k, and the k-th number
+    returned counts its matchings.
 
     Each level covers the lowest vertex still uncovered in every live set
     of uncovered vertices, one edge at a time, and adds the set's count of
-    ways into the set left over.  At the last level each live set holds two
-    vertices, which match only if they are joined.  A graph with an isolated
-    vertex has no matching and stops before the first level."""
-    adj = {}
+    ways into the set left over.  A count is one integer with a field per
+    graph, each wide enough for (n - 1)!!, the most matchings of any set of
+    at most n vertices, so no carry crosses fields; taking an edge of tier
+    t masks off the fields below t.  At the last level each live set holds
+    two vertices, which match only if they are joined.  If the largest
+    graph has an isolated vertex, no graph has a matching, and the counter
+    stops before the first level."""
+    n = len(later[0])
+    width = math.prod(range(n - 1, 0, -2)).bit_length()
+    shifts = range(0, len(later) * width, width)
+    field = (1 << width) - 1
+    every = (1 << shifts.stop) - 1
+    adj = {1 << i: [] for i in range(n)}
     seen = 0
-    bit = 1
-    for mask in later:
-        adj[bit] = mask
-        if mask:
-            seen |= mask | bit
-        bit <<= 1
+    for rows, shift in zip(later, shifts):
+        keep = every >> shift << shift
+        bit = 1
+        for mask in rows:
+            if mask:
+                adj[bit].append((mask, keep))
+                seen |= mask | bit
+            bit <<= 1
     full = bit - 1
     if seen != full:
-        return 0
-    level = {full: 1}
-    for _ in range(len(later) // 2 - 1):
+        return [0] * len(later)
+    level = {full: every // field}  # one way into every graph
+    for _ in range(n // 2 - 1):
         following: dict[int, int] = {}
         get = following.get
         for live, ways in level.items():
             low = live & -live
             rest = live ^ low
-            sub = adj[low] & rest
-            while sub:
-                bit = sub & -sub
-                sub ^= bit
-                left = rest ^ bit
-                following[left] = get(left, 0) + ways
+            for mask, keep in adj[low]:
+                kept = ways & keep
+                sub = mask & rest
+                while sub:
+                    bit = sub & -sub
+                    sub ^= bit
+                    left = rest ^ bit
+                    following[left] = get(left, 0) + kept
         if not following:
-            return 0
+            return [0] * len(later)
         level = following
-    return sum(ways for live, ways in level.items() if adj[live & -live] & live)
+    total = 0
+    for live, ways in level.items():
+        for mask, keep in adj[live & -live]:
+            if mask & live:
+                total += ways & keep
+                break
+    return [total >> shift & field for shift in shifts]
 
 
 def permanent(matrix, *, override_limits: bool = False):

@@ -496,13 +496,20 @@ def random_graph(n: int, p: float, seed: int) -> ExperimentGraph:
     return _graph_from_pairs(n, _gnp_pairs(n, p, seed))
 
 
-def _gnp_pairs(n: int, p: float, seed: int) -> list[tuple[int, int]]:
-    """The vertex index pairs ``i < j`` of a G(n, p) sample, in row order:
-    one draw of ``random.Random(seed)`` per pair.  Every sampler of the
-    package goes through here, so a graph and a bare count see the same
-    edges for the same seed."""
+def _gnp_draws(n: int, seed: int) -> list[float]:
+    """One draw of ``random.Random(seed)`` per vertex index pair ``i < j``,
+    in row order.  Pair (i, j) is an edge of the G(n, p) sample of ``seed``
+    exactly when its draw is below p, so the samples of one seed are nested
+    as p grows.  Every sampler of the package goes through here, so a graph
+    and a bare count see the same edges for the same seed."""
     rng = random.Random(seed).random
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng() < p]
+    return [rng() for _ in range(n * (n - 1) // 2)]
+
+
+def _gnp_pairs(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """The vertex index pairs ``i < j`` of a G(n, p) sample, in row order."""
+    draws = iter(_gnp_draws(n, seed))
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if next(draws) < p]
 
 
 def complete_graph(n: int) -> ExperimentGraph:

@@ -6,16 +6,19 @@ factor of ``p`` per crystal in a perfect matching.  Ensemble statistics
 sample G(n, p) graphs with per-trial seeds derived by hashing (seed, trial),
 making runs reproducible independently of execution order or parallelism.
 
-A trial goes from its seed to its count without building a graph: the
-edge pairs come from the sampler behind :func:`~photongraph.graph.random_graph`
-(so a trial's graph is ``random_graph(n, p, trial_seed(seed, trial))``), are
-written into one bitmask of later neighbours per vertex and handed to the
-unit-graph matching counter of :mod:`~photongraph.counting`, which gives
-the hafnian of the graph's adjacency matrix.  Since no trial calls
-``hafnian``, a scan applies its order guard itself, before any sampling.
-With several workers, the caller counts one contiguous trial range of every
-p and forks a child per other range, which pipes its histograms back as
-``marshal`` bytes (only the network terms import :mod:`~photongraph.states`).
+A trial goes from its seed to its counts at every p of a scan without
+building a graph: the sampler behind :func:`~photongraph.graph.random_graph`
+draws one uniform per vertex pair, and the pair is an edge at each p above
+its draw (so a trial's graph at p is ``random_graph(n, p, trial_seed(seed,
+trial))``, and its graphs are nested as p grows).  Each edge gets the tier
+of the smallest p that holds it, the edges are written into one bitmask of
+later neighbours per tier and vertex, and the unit-graph matching counter of
+:mod:`~photongraph.counting` counts every p's graph in one pass, giving the
+hafnian of each graph's adjacency matrix.  Since no trial calls ``hafnian``,
+a scan applies its order guard itself, before any sampling.  With several
+workers, the caller counts one contiguous trial range and forks a child per
+other range, which pipes its histograms back as ``marshal`` bytes (only the
+network terms import :mod:`~photongraph.states`).
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ from __future__ import annotations
 import hashlib
 import marshal
 import os
+from bisect import bisect_right
 from collections import Counter
 
 from .counting import _check_hafnian_order, _unit_matchings
 from .errors import DomainError, PhotonGraphError
-from .graph import ExperimentGraph, _Record, _gnp_pairs
+from .graph import ExperimentGraph, _Record, _gnp_draws
 
 __all__ = [
     "EnsembleReport",
@@ -54,17 +58,25 @@ def trial_seed(seed: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _count_range(n: int, p: float, seed: int, start: int, stop: int) -> Counter:
-    """Histogram of perfect-matching counts over trials ``start..stop-1``,
-    straight from the sampled index pairs to the bitmasks of later
-    neighbours that the unit-graph counter takes."""
-    counts: Counter = Counter()
+def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> list[Counter]:
+    """Histograms of perfect-matching counts over trials ``start..stop-1``,
+    one per p in the given order.  A trial is seeded and drawn once: each
+    pair's tier is the number of distinct p at or below its draw, so it is
+    an edge at every p above its draw, and the unit-graph counter counts
+    every p at once from the tiers' bitmasks of later neighbours."""
+    tiers = sorted(set(p_values))
+    pairs = [(i, 1 << j) for i in range(n) for j in range(i + 1, n)]
+    histograms = [Counter() for _ in tiers]
+    top = tiers[-1]
     for trial in range(start, stop):
-        later = [0] * n
-        for i, j in _gnp_pairs(n, p, trial_seed(seed, trial)):
-            later[i] |= 1 << j
-        counts[_unit_matchings(later)] += 1
-    return counts
+        later = [[0] * n for _ in tiers]
+        for (i, bit), draw in zip(pairs, _gnp_draws(n, trial_seed(seed, trial))):
+            if draw < top:
+                later[bisect_right(tiers, draw)][i] |= bit
+        for counts, count in zip(histograms, _unit_matchings(later)):
+            counts[count] += 1
+    by_p = dict(zip(tiers, histograms))
+    return [Counter(by_p[p]) for p in p_values]
 
 
 def _fork_share(n: int, p_values: list, seed: int, start: int, stop: int):
@@ -76,7 +88,7 @@ def _fork_share(n: int, p_values: list, seed: int, start: int, stop: int):
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps([dict(_count_range(n, p, seed, start, stop)) for p in p_values]))
+                pipe.write(marshal.dumps([dict(counts) for counts in _count_range(n, p_values, seed, start, stop)]))
             os._exit(0)
         finally:
             os._exit(1)
@@ -107,13 +119,16 @@ def ensemble_scan(
     *,
     workers: int = 1,
 ) -> list[EnsembleReport]:
-    """Sample ``trials`` graphs per probability and report the fraction with
-    at least one perfect matching plus the full count histogram.  Every
+    """Sample ``trials`` graphs per probability and report, per p in the
+    given order, the fraction with at least one perfect matching plus the
+    full count histogram.  A trial is sampled and counted once for all p:
+    its graphs are nested, and a report equals that of a one-p scan.  Every
     argument, and the hafnian order guard on ``n``, is checked before any
     sampling.  ``workers`` processes (at most one per core and per trial)
-    each count one trial range of every p: the caller counts the first and
-    adds the histograms of ``workers - 1`` forked children, which never
-    outlive the call.  Without ``os.fork``, or with no p, it runs serially."""
+    each count one trial range: the caller counts the first and adds the
+    histograms of ``workers - 1`` forked children, which never outlive the
+    call.  Without ``os.fork`` it runs serially; with no p it samples
+    nothing."""
     if n % 2 != 0 or n < 2:
         raise DomainError(f"vertex count must be even and >= 2 for matching statistics, got {n}")
     if trials < 1:
@@ -125,12 +140,14 @@ def ensemble_scan(
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"edge probability must lie in [0, 1], got {p}")
     _check_hafnian_order(n)
-    workers = min(workers, os.cpu_count() or 1, trials) if p_values and hasattr(os, "fork") else 1
+    if not p_values:
+        return []
+    workers = min(workers, os.cpu_count() or 1, trials) if hasattr(os, "fork") else 1
     bounds = [trials * k // workers for k in range(workers + 1)]
     children = []
     try:  # extend keeps the children forked before a failed fork
         children.extend(_fork_share(n, p_values, seed, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:]))
-        histograms = [_count_range(n, p, seed, 0, bounds[1]) for p in p_values]
+        histograms = _count_range(n, p_values, seed, 0, bounds[1])
         while children:
             for counts, theirs in zip(histograms, children.pop()()):
                 counts.update(theirs)

@@ -128,6 +128,25 @@ def test_hafnian_matches_oracle_on_sparse_complex_matrices(m):
     assert abs(pg.hafnian(m) - naive_hafnian(m)) <= 1e-9 * scale
 
 
+def test_unit_matchings_fields_hold_the_most_matchings_side_by_side():
+    # K24's 23!! matchings fill both fields of a two-tier count: a carry out
+    # of the lower field would show in the upper one
+    from photongraph.counting import _unit_matchings
+
+    k24 = [((1 << 24) - 1) >> (i + 1) << (i + 1) for i in range(24)]
+    assert _unit_matchings([k24, [0] * 24]) == [math.prod(range(23, 0, -2))] * 2
+
+
+def test_unit_matchings_counts_nested_graphs():
+    # a 4-cycle 0-1-2-3 in tier 0 and the chords 0-2, 1-3 in tier 1: the
+    # cycle has two matchings and K4 three
+    from photongraph.counting import _unit_matchings
+
+    assert _unit_matchings([[0b1010, 0b0100, 0b1000, 0], [0b0100, 0b1000, 0, 0]]) == [2, 3]
+    assert _unit_matchings([[0b0100, 0b1000, 0, 0], [0b1010, 0b0100, 0b1000, 0]]) == [1, 3]
+    assert _unit_matchings([[0, 0b1000, 0, 0], [0b1110, 0b0100, 0b1000, 0]]) == [0, 3]
+
+
 def test_permanent_identity():
     assert pg.permanent([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 

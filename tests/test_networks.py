@@ -6,8 +6,11 @@ import math
 import os
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph
@@ -75,6 +78,31 @@ def test_parallel_workers_match_serial(monkeypatch):
         assert serial == parallel
 
 
+@given(
+    n=st.integers(min_value=1, max_value=6).map(lambda half: 2 * half),
+    trials=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32),
+    ps=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4)
+    .map(lambda ps: ps + [0.0, 1.0, (ps or [0.5])[0]])
+    .flatmap(st.permutations),
+    workers=st.sampled_from([1, 2]),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_scan_reports_each_p_as_a_one_p_scan_does(n, trials, seed, ps, workers):
+    # two cores, whatever the host has, so workers=2 forks a child
+    with mock.patch.object(os, "cpu_count", lambda: 2):
+        reports = pg.ensemble_scan(n, ps, trials, seed, workers=workers)
+    assert reports == [pg.ensemble_scan(n, [p], trials, seed)[0] for p in ps]
+
+
+def test_the_fields_of_one_count_stay_apart_at_the_order_guard():
+    # 23!! matchings of K24 sit beside an empty field and a repeated p
+    k24 = math.prod(range(23, 0, -2))
+    assert k24 == 316234143225
+    reports = pg.ensemble_scan(24, [1.0, 0.0, 1.0], 1, 5)
+    assert [r.pm_count_histogram for r in reports] == [{k24: 1}, {0: 1}, {k24: 1}]
+
+
 def test_trial_seed_mixing():
     seeds = {pg.trial_seed(1, t) for t in range(100)}
     assert len(seeds) == 100
@@ -139,7 +167,7 @@ def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, tri
 
     def fork_share(n, p_values, seed, start, stop):
         started.append(stop - start)
-        histograms = [dict(networks._count_range(n, p, seed, start, stop)) for p in p_values]
+        histograms = [dict(counts) for counts in networks._count_range(n, p_values, seed, start, stop)]
         return lambda kill=False: None if kill else histograms
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -201,7 +229,7 @@ def test_a_large_child_histogram_comes_through_the_pipe(monkeypatch):
 
     big = {count: count for count in range(20_000)}
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(networks, "_count_range", lambda *args: Counter(big))
+    monkeypatch.setattr(networks, "_count_range", lambda n, p_values, *args: [Counter(big) for _ in p_values])
     report = pg.ensemble_scan(6, [0.5], 2, 0, workers=2)[0]
     assert report.pm_count_histogram == {count: 2 * count for count in range(20_000)}
 
@@ -210,11 +238,10 @@ def test_a_large_child_histogram_comes_through_the_pipe(monkeypatch):
 def test_trial_counts_are_hafnians_of_the_sampled_graphs(n):
     from photongraph.networks import _count_range
 
-    for p in (0.0, 0.3, 0.7, 1.0):
-        for trial in range(6):
-            rows = pg.random_graph(n, p, pg.trial_seed(41, trial)).adjacency()
-            count = pg.hafnian(rows)
-            assert _count_range(n, p, 41, trial, trial + 1) == Counter({count: 1})
+    ps = (0.0, 0.3, 0.7, 1.0)
+    for trial in range(6):
+        counts = [pg.hafnian(pg.random_graph(n, p, pg.trial_seed(41, trial)).adjacency()) for p in ps]
+        assert _count_range(n, ps, 41, trial, trial + 1) == [Counter({count: 1}) for count in counts]
 
 
 def test_single_edge_amplitude_is_p():
