@@ -341,3 +341,65 @@ def test_cli_outputs_golden(tmp_path, monkeypatch, capsys):
                 p.unlink()
             digest.update(repr((argv, fmt, code, captured.out, captured.err, files)).encode())
     assert digest.hexdigest() == CLI_GOLDEN_SHA256
+
+
+MATCHABILITY_GOLDEN_SHA256 = "46b2b988fc2ee68743fec6d9ca6a91ed0b0e26948d9fdefa003c3467f195f480"
+
+
+def _bipartite_multigraphs():
+    """Seeded bipartite multigraphs with 0-7 vertices a side, equal parts in
+    two draws of three and unequal parts in the third, shuffled declaration
+    order, edges given from either end, parallel edges and, now and then, a
+    measured vertex.  Each comes with its two parts."""
+    rng = random.Random(19)
+    for t in range(600):
+        a = rng.randrange(0, 8)
+        b = rng.randrange(0, 8) if t % 3 == 2 else a
+        xs, ys = tuple(f"x{i}" for i in range(a)), tuple(f"y{j}" for j in range(b))
+        names = list(xs + ys)
+        rng.shuffle(names)
+        p = rng.uniform(0.05, 0.6)
+        edges = []
+        for x in xs:
+            for y in ys:
+                for _ in range(rng.choice([1, 1, 1, 2, 3]) if rng.random() < p else 0):
+                    ends = (x, y) if rng.random() < 0.5 else (y, x)
+                    edges.append(Edge(f"m{rng.randrange(10 ** 6)}.{len(edges)}", *ends))
+        rng.shuffle(edges)
+        measured = rng.sample(names, 1) if names and rng.random() < 0.05 else []
+        yield ExperimentGraph(names, edges, measured), (xs, ys)
+
+
+def _barrier_graphs():
+    """K_{a,a+2} for a <= 5 with the small side declared first, last or
+    interleaved, and seeded graphs with isolated vertices."""
+    for a in range(6):
+        xs, ys = [f"x{i}" for i in range(a)], [f"y{j}" for j in range(a + 2)]
+        edges = [Edge(f"{x}{y}", x, y) for x in xs for y in ys]
+        for names in (xs + ys, ys + xs, [v for pair in zip(ys, xs + [""] * 2) for v in pair if v]):
+            yield ExperimentGraph(names, edges)
+    rng = random.Random(20)
+    for _ in range(120):
+        n = rng.randrange(1, 13)
+        names = vertex_names(n)
+        isolated = set(rng.sample(range(n), rng.randrange(1, min(n, 3) + 1)))
+        live = [i for i in range(n) if i not in isolated]
+        p = rng.uniform(0.2, 0.9)
+        edges = [Edge(f"e{i}.{j}", names[i], names[j]) for k, i in enumerate(live) for j in live[k + 1:]
+                 if rng.random() < p]
+        yield ExperimentGraph(names, edges)
+
+
+def test_matchability_outputs_golden():
+    """The matching or witness of ``hall_check`` with detected and pinned
+    parts, every refusal among them, the bipartition (or its odd cycle) of
+    the search-golden graphs, and ``tutte_check`` on large-barrier and
+    isolated-vertex graphs."""
+    digest = hashlib.sha256()
+    for g, parts in _bipartite_multigraphs():
+        digest.update(repr((_outcome(pg.hall_check, g), _outcome(pg.hall_check, g, parts))).encode())
+    for g in _graphs():
+        digest.update(repr(_outcome(g.bipartition)).encode())
+    for g in _barrier_graphs():
+        digest.update(repr(_outcome(pg.tutte_check, g)).encode())
+    assert digest.hexdigest() == MATCHABILITY_GOLDEN_SHA256
