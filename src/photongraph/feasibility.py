@@ -1,12 +1,14 @@
 """Constructive matchability checks.
 
-For bipartite graphs with equal parts, a perfect matching exists iff every
-subset W of part X sees at least |W| neighbors in Y; the checker returns an
-explicit matching (augmenting paths) or a violating subset harvested from
-the final alternating forest.  For general graphs the criterion is that
-deleting any vertex set U leaves at most |U| odd components; the checker
-returns a matching found by backtracking, skipping vertex sets from which
-the search already failed, or a minimal violating subset.
+Both checks read a graph as one bitmask of neighbours per vertex, indexed
+in declaration order, as the bipartition does.  For bipartite graphs with
+equal parts, a perfect matching exists iff every subset W of part X sees at
+least |W| neighbors in Y; the checker returns an explicit matching
+(augmenting paths) or a violating subset harvested from the final
+alternating forest.  For general graphs the criterion is that deleting any
+vertex set U leaves at most |U| odd components; the checker returns a
+matching found by backtracking, skipping vertex sets from which the search
+already failed, or a minimal violating subset.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DomainError, ScaleLimitError
-from .graph import ExperimentGraph, _FrozenRecord
-from .matching import Matching
+from .graph import ExperimentGraph, _bits, _FrozenRecord
 
 __all__ = [
     "HallWitness",
@@ -42,21 +43,18 @@ class TutteWitness(_FrozenRecord):
     odd_components: tuple[tuple[str, ...], ...]
 
 
-def _matching_edge_ids(g: ExperimentGraph, pairs) -> Matching:
-    """Pick the lowest-id edge for every matched vertex pair."""
-    ids = []
-    for a, b in pairs:
-        connecting = sorted(
-            e.id for e in g.edges if {e.u, e.v} == {a, b}
-        )
-        ids.append(connecting[0])
-    return tuple(sorted(ids))
+def _matching_edge_ids(g: ExperimentGraph, pairs) -> tuple[str, ...]:
+    """The lowest-id edge of every matched vertex index pair, sorted."""
+    lowest: dict[tuple[int, int], str] = {}
+    for e in sorted(g.edges, key=lambda e: e.id):
+        lowest.setdefault((g._index[e.u], g._index[e.v]), e.id)
+    return tuple(sorted(lowest[min(pair), max(pair)] for pair in pairs))
 
 
 def hall_check(
     g: ExperimentGraph,
     parts: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
-) -> Matching | HallWitness:
+) -> tuple[str, ...] | HallWitness:
     """Return a perfect matching or a Hall witness for a bipartite graph with
     equal part sizes.  ``parts`` pins the bipartition; by default it is
     detected by 2-coloring (lowest-index vertex of each component in X)."""
@@ -75,61 +73,52 @@ def hall_check(
             reason="unequal-parts",
         )
 
-    neighbors: dict[str, list[str]] = {x: [] for x in part_x}
-    for e in g.edges:
-        x, y = (e.u, e.v) if e.u in neighbors else (e.v, e.u)
-        if y not in neighbors[x]:
-            neighbors[x].append(y)
-    for adj in neighbors.values():
-        adj.sort(key=g.index)
+    masks = g._neighbour_masks()
+    match_of_y = [-1] * len(masks)
+    visited = 0
 
-    match_of_y: dict[str, str] = {}
-
-    def augment(x: str, visited: set[str]) -> bool:
-        for y in neighbors[x]:
-            if y in visited:
-                continue
-            visited.add(y)
-            if y not in match_of_y or augment(match_of_y[y], visited):
+    def augment(x: int) -> bool:
+        nonlocal visited
+        while unvisited := masks[x] & ~visited:
+            low = unvisited & -unvisited
+            visited |= low
+            y = low.bit_length() - 1
+            if match_of_y[y] < 0 or augment(match_of_y[y]):
                 match_of_y[y] = x
                 return True
         return False
 
-    for x in part_x:
-        augment(x, set())
-
-    match_of_x = {x: y for y, x in match_of_y.items()}
-    unmatched = [x for x in part_x if x not in match_of_x]
+    unmatched = []
+    for x in map(g.index, part_x):
+        visited = 0
+        if not augment(x):
+            unmatched.append(x)
     if not unmatched:
-        return _matching_edge_ids(g, sorted(match_of_x.items(), key=lambda p: g.index(p[0])))
+        return _matching_edge_ids(g, ((x, y) for y, x in enumerate(match_of_y) if x >= 0))
 
     # Alternating reachability from every unmatched X vertex: each reachable
     # Y vertex is matched (else an augmenting path existed) and N(W) stays
     # inside the reachable set, so |N(W)| = |W| - |unmatched| < |W|.
-    reachable_x = set(unmatched)
-    reachable_y: set[str] = set()
+    reachable_x = sum(1 << x for x in unmatched)
+    reachable_y = 0
     frontier = list(unmatched)
-    while frontier:
-        x = frontier.pop(0)
-        for y in neighbors[x]:
-            if y in reachable_y:
-                continue
-            reachable_y.add(y)
-            partner = match_of_y.get(y)
-            if partner is not None and partner not in reachable_x:
-                reachable_x.add(partner)
+    for x in frontier:  # each reached partner joins the end: breadth first
+        new = masks[x] & ~reachable_y
+        reachable_y |= new
+        for y in _bits(new):
+            partner = match_of_y[y]
+            if not reachable_x >> partner & 1:
+                reachable_x |= 1 << partner
                 frontier.append(partner)
 
-    subset_w = tuple(sorted(reachable_x, key=g.index))
-    neighborhood = tuple(sorted(reachable_y, key=g.index))
-    exact = set()
-    for x in subset_w:
-        exact.update(neighbors[x])
-    assert exact == set(neighborhood) and len(neighborhood) < len(subset_w)
-    return HallWitness(subset_w, neighborhood)
+    assert reachable_y.bit_count() < reachable_x.bit_count()
+    return HallWitness(
+        tuple(g.vertices[i] for i in _bits(reachable_x)),
+        tuple(g.vertices[i] for i in _bits(reachable_y)),
+    )
 
 
-def _find_pm_pairs(adjacent: list[set[int]]) -> list[tuple[int, int]] | None:
+def _find_pm_pairs(masks: list[int]) -> list[tuple[int, int]] | None:
     """First perfect matching, as vertex index pairs, found by pairing the
     lowest unmatched vertex with each unmatched neighbor in turn; None when
     the search exhausts.
@@ -138,10 +127,7 @@ def _find_pm_pairs(adjacent: list[set[int]]) -> list[tuple[int, int]] | None:
     matched so far, so each set from which the search failed is remembered
     as a bitmask and not searched again.  Only failed subtrees are skipped,
     so the first matching found is unchanged."""
-    n = len(adjacent)
-    neighbors = [sorted(adj) for adj in adjacent]
-
-    full = (1 << n) - 1
+    full = (1 << len(masks)) - 1
     failed: set[int] = set()
     pairs: list[tuple[int, int]] = []
 
@@ -151,43 +137,40 @@ def _find_pm_pairs(adjacent: list[set[int]]) -> list[tuple[int, int]] | None:
         if matched in failed:
             return False
         free = ~matched & full
-        u = (free & -free).bit_length() - 1
-        for w in neighbors[u]:
-            if matched >> w & 1:
-                continue
+        low = free & -free
+        u = low.bit_length() - 1
+        for w in _bits(masks[u] & free):
             pairs.append((u, w))
-            if rec(matched | 1 << u | 1 << w):
+            if rec(matched | low | 1 << w):
                 return True
             pairs.pop()
         failed.add(matched)
         return False
 
-    if n % 2 != 0 or not rec(0):
+    if len(masks) % 2 != 0 or not rec(0):
         return None
     return pairs
 
 
-def _components(n: int, adjacent: list[set[int]], removed: set[int]) -> list[list[int]]:
-    seen = set(removed)
-    comps = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        frontier = [start]
+def _odd_components(masks: list[int], live: int) -> list[int]:
+    """The odd components of the graph on the ``live`` vertices, as
+    bitmasks, in the order of their lowest vertex."""
+    odd = []
+    while live:
+        comp = frontier = live & -live
         while frontier:
-            v = frontier.pop()
-            for w in adjacent[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    frontier.append(w)
-        comps.append(sorted(comp))
-    return comps
+            reach = 0
+            for v in _bits(frontier):
+                reach |= masks[v]
+            frontier = reach & live & ~comp
+            comp |= frontier
+        live &= ~comp
+        if comp.bit_count() % 2 == 1:
+            odd.append(comp)
+    return odd
 
 
-def tutte_check(g: ExperimentGraph) -> Matching | TutteWitness:
+def tutte_check(g: ExperimentGraph) -> tuple[str, ...] | TutteWitness:
     """Return a perfect matching or a minimal odd-components witness.
 
     The witness search enumerates subsets by increasing size with a
@@ -200,23 +183,19 @@ def tutte_check(g: ExperimentGraph) -> Matching | TutteWitness:
             f"witness search on {n} vertices exceeds the guard (<= {TUTTE_VERTEX_LIMIT})"
         )
 
-    adjacent: list[set[int]] = [set() for _ in range(n)]
-    for e in g.edges:
-        i, j = g.index(e.u), g.index(e.v)
-        adjacent[i].add(j)
-        adjacent[j].add(i)
-
-    pairs = _find_pm_pairs(adjacent)
+    masks = g._neighbour_masks()
+    pairs = _find_pm_pairs(masks)
     if pairs is not None:
-        return _matching_edge_ids(g, [(g.vertices[a], g.vertices[b]) for a, b in pairs])
+        return _matching_edge_ids(g, pairs)
 
+    full = (1 << n) - 1
     for size in range(0, n + 1):
-        for subset in combinations(range(n), size):
-            removed = set(subset)
-            odd = [c for c in _components(n, adjacent, removed) if len(c) % 2 == 1]
+        for subset in combinations([1 << i for i in range(n)], size):
+            removed = sum(subset)
+            odd = _odd_components(masks, full & ~removed)
             if len(odd) > size:
                 return TutteWitness(
-                    tuple(g.vertices[i] for i in subset),
-                    tuple(tuple(g.vertices[i] for i in comp) for comp in odd),
+                    tuple(g.vertices[i] for i in _bits(removed)),
+                    tuple(tuple(g.vertices[i] for i in _bits(comp)) for comp in odd),
                 )
     raise AssertionError("no matching and no witness: unreachable for valid graphs")

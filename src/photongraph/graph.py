@@ -249,40 +249,44 @@ class ExperimentGraph:
             m[j][i] += 1
         return m
 
+    def _neighbour_masks(self) -> list[int]:
+        """One bitmask of neighbours per vertex, bit i for the vertex of
+        declaration index i; parallel edges set their bit once."""
+        masks = [0] * len(self.vertices)
+        for e in self.edges:
+            i, j = self._index[e.u], self._index[e.v]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return masks
+
     def bipartition(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Two-color the graph; the lowest-index vertex of every component
         lands in part X.  Raises :class:`NotBipartiteError` with an odd-cycle
         witness otherwise."""
-        color: dict[str, int] = {}
-        parent: dict[str, str | None] = {}
-        neighbors: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            neighbors[e.u].append(e.v)
-            neighbors[e.v].append(e.u)
-        for adj in neighbors.values():
-            adj.sort(key=self._index.__getitem__)
-
-        for start in self.vertices:
-            if start in color:
+        masks = self._neighbour_masks()
+        parent: list[int | None] = [None] * len(masks)
+        side = [0, 0]  # the vertices of each color, as bitmasks
+        for start in range(len(masks)):
+            if (side[0] | side[1]) >> start & 1:
                 continue
-            color[start] = 0
-            parent[start] = None
+            side[0] |= 1 << start
             queue = [start]
-            while queue:
-                v = queue.pop(0)
-                for w in neighbors[v]:
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        parent[w] = v
-                        queue.append(w)
-                    elif color[w] == color[v] and w != v:
-                        cycle = _odd_cycle(parent, v, w)
-                        raise NotBipartiteError(
-                            f"graph is not bipartite: odd cycle {'-'.join(cycle)}",
-                            odd_cycle=cycle,
-                        )
-        part_x = tuple(v for v in self.vertices if color[v] == 0)
-        part_y = tuple(v for v in self.vertices if color[v] == 1)
+            for v in queue:  # breadth first, neighbours in index order
+                color = side[1] >> v & 1
+                clash = masks[v] & side[color]
+                if clash:
+                    cycle = tuple(self.vertices[i] for i in _odd_cycle(parent, v, next(_bits(clash))))
+                    raise NotBipartiteError(
+                        f"graph is not bipartite: odd cycle {'-'.join(cycle)}",
+                        odd_cycle=cycle,
+                    )
+                new = masks[v] & ~(side[0] | side[1])
+                side[1 - color] |= new
+                for w in _bits(new):
+                    parent[w] = v
+                    queue.append(w)
+        part_x = tuple(v for i, v in enumerate(self.vertices) if side[0] >> i & 1)
+        part_y = tuple(v for i, v in enumerate(self.vertices) if side[1] >> i & 1)
         return part_x, part_y
 
     def biadjacency(self, parts: tuple[Iterable[str], Iterable[str]] | None = None) -> Biadjacency:
@@ -327,10 +331,10 @@ class ExperimentGraph:
         )
 
 
-def _odd_cycle(parent: dict[str, str | None], v: str, w: str) -> tuple[str, ...]:
+def _odd_cycle(parent: list[int | None], v: int, w: int) -> list[int]:
     """Reconstruct the odd cycle closed by the conflicting edge (v, w)."""
     ancestors = []
-    node: str | None = v
+    node: int | None = v
     while node is not None:
         ancestors.append(node)
         node = parent[node]
@@ -339,10 +343,18 @@ def _odd_cycle(parent: dict[str, str | None], v: str, w: str) -> tuple[str, ...]
     node = w
     while node not in ancestor_set:
         path_w.append(node)
-        node = parent[node]  # type: ignore[assignment]
+        node = parent[node]  # type: ignore[index]
     meet = node
     path_v = ancestors[: ancestors.index(meet) + 1]
-    return tuple(path_v + list(reversed(path_w)))
+    return path_v + list(reversed(path_w))
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------

@@ -104,19 +104,9 @@ def test_checks_reject_measured_graphs():
         pg.tutte_check(merged)
 
 
-def _witness_is_valid(g, witness) -> bool:
-    if isinstance(witness, HallWitness):
-        if len(witness.neighborhood) >= len(witness.subset_w):
-            return False
-        exact = set()
-        for e in g.edges:
-            if e.u in witness.subset_w:
-                exact.add(e.v)
-            if e.v in witness.subset_w:
-                exact.add(e.u)
-        return exact == set(witness.neighborhood)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    removed = set(witness.subset_u)
+def _odd_components(g, removed) -> list[tuple[str, ...]]:
+    """Odd components of g without the ``removed`` vertices, each in
+    declaration order, listed in the order of their lowest vertex."""
     seen = set(removed)
     comps = []
     for start in g.vertices:
@@ -135,10 +125,49 @@ def _witness_is_valid(g, witness) -> bool:
                     seen.add(w)
                     comp.add(w)
                     frontier.append(w)
-        comps.append(comp)
-    odd = [c for c in comps if len(c) % 2 == 1]
+        comps.append(tuple(u for u in g.vertices if u in comp))
+    return [c for c in comps if len(c) % 2 == 1]
+
+
+def _witness_is_valid(g, witness) -> bool:
+    if isinstance(witness, HallWitness):
+        if len(witness.neighborhood) >= len(witness.subset_w):
+            return False
+        exact = set()
+        for e in g.edges:
+            if e.u in witness.subset_w:
+                exact.add(e.v)
+            if e.v in witness.subset_w:
+                exact.add(e.u)
+        return exact == set(witness.neighborhood)
+    odd = _odd_components(g, witness.subset_u)
     reported = [set(c) for c in witness.odd_components]
     return len(odd) > len(witness.subset_u) and sorted(map(sorted, odd)) == sorted(map(sorted, reported))
+
+
+def _first_barrier(g) -> TutteWitness | None:
+    """The first vertex subset, by size and then lexicographically in
+    declaration order, that leaves more odd components than its size."""
+    for size in range(len(g.vertices) + 1):
+        for subset in combinations(g.vertices, size):
+            odd = _odd_components(g, subset)
+            if len(odd) > size:
+                return TutteWitness(subset, tuple(odd))
+    return None
+
+
+def test_tutte_k57_witness_is_the_small_side():
+    xs, ys = tuple(f"x{i}" for i in range(5)), tuple(f"y{j}" for j in range(7))
+    g = ExperimentGraph(xs + ys, [Edge(f"{x}{y}", x, y) for x in xs for y in ys])
+    assert pg.tutte_check(g) == TutteWitness(xs, tuple((y,) for y in ys))
+
+
+def test_tutte_witness_is_minimal_not_the_gallai_edmonds_barrier():
+    # K_{1,3} plus two isolated vertices: the Gallai-Edmonds barrier is {a}
+    # (five odd components), but the empty set already leaves {e} and {f}.
+    g = ExperimentGraph(list("abcdef"), [Edge("1", "a", "b"), Edge("2", "a", "c"), Edge("3", "a", "d")])
+    assert pg.tutte_check(g) == TutteWitness((), (("e",), ("f",)))
+    assert len(_odd_components(g, ("a",))) == 5
 
 
 def test_bipartite_agreement_exhaustive_parts_3():
@@ -176,10 +205,14 @@ def test_bipartite_agreement_exhaustive_parts_4():
 
 
 def test_tutte_agreement_exhaustive_small():
-    for n in range(1, 6):
+    """Every graph on at most 5 vertices and 300 seeded ones on 6; the
+    witness must be the first barrier by size and lexicographic order."""
+    rng = random.Random(7)
+    for n in range(0, 7):
         names = vertex_names(n)
         pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
+        masks = range(1 << len(pairs)) if n < 6 else [rng.getrandbits(len(pairs)) for _ in range(300)]
+        for mask in masks:
             edges = [Edge(f"e{s}", names[i], names[j]) for s, (i, j) in enumerate(pairs) if mask >> s & 1]
             g = ExperimentGraph(names, edges)
             result = pg.tutte_check(g)
@@ -188,7 +221,7 @@ def test_tutte_agreement_exhaustive_small():
             if exists:
                 assert pg.is_coincidence_cover(g, result)
             else:
-                assert _witness_is_valid(g, result)
+                assert result == _first_barrier(g)
 
 
 def test_tutte_agreement_random_14():

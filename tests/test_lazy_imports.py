@@ -32,7 +32,7 @@ SUBCOMMAND_KERNELS = {
     "ghz-max": ({"matching"}, ["ghz-max", "k4.graph"]),
     "factorize": ({"matching"}, ["factorize", "k4.graph"]),
     "layers": ({"matching"}, ["layers", "k4.graph"]),
-    "check": ({"feasibility", "matching"}, ["check", "hall", "bip.graph"]),
+    "check": ({"feasibility"}, ["check", "hall", "bip.graph"]),
     "hafnian": ({"counting"}, ["hafnian", "k4.graph"]),
     "permanent": ({"counting"}, ["permanent", "bip.graph"]),
     "merge": (set(), ["merge", "k4.graph", "k4b.graph", "--pairs", "d:e"]),
