@@ -11,12 +11,12 @@ live indices; each row's nonzero later columns are kept as a bitmask, so
 the expansion never visits a zero entry.  It forms the same products in the
 same order as a walk over every index, so float and complex results do not
 depend on the sparsity.  The G(n, p) ensemble, whose graphs are simple,
-counts their perfect matchings with a separate counter that takes only
-those bitmasks (``later[t][i]``, the neighbours of vertex i above i joined
-by an edge of tier t) and adds counts level by level, with no
-multiplication and no rows.  One pass counts a chain of nested graphs, one
-per tier, such as the graphs of one G(n, p) trial at several p: each count
-packs one field per graph into one integer.
+counts their perfect matchings with a separate counter that adds counts
+level by level, with no multiplication and no rows.  One pass counts any
+family of simple graphs on the same vertices, such as the graphs of a
+batch of G(n, p) trials at every p of a scan: each count packs one field
+per graph into one integer, and each vertex pair carries the mask of the
+fields whose graph holds it.
 
 Integer matrices are computed in arbitrary-precision integer arithmetic
 (counts overflow 64 bits near order 20).  Complex and float inputs use
@@ -26,7 +26,6 @@ double precision; results should be compared at a 1e-9 tolerance.
 from __future__ import annotations
 
 import cmath
-import math
 
 from .errors import DomainError, NotBipartiteError, ScaleLimitError
 from .graph import ExperimentGraph
@@ -122,65 +121,43 @@ def hafnian(matrix, *, override_limits: bool = False):
     return _finite(rec, (1 << n) - 1) if n else 1
 
 
-def _unit_matchings(later: list[list[int]]) -> list[int]:
-    """Numbers of perfect matchings of nested simple graphs on
-    ``len(later[0])`` vertices, an even number >= 2.  ``later[t][i]`` is the
-    bitmask of the vertices above i that are joined to vertex i by an edge
-    of tier t; graph k holds the edges of tiers 0..k, and the k-th number
-    returned counts its matchings.
+def _unit_matchings(keep: list[list[int]], start: int) -> int:
+    """Numbers of perfect matchings of a family of simple graphs on the
+    same ``len(keep)`` vertices, an even number >= 2, packed one field per
+    graph into one integer.  ``keep[i][j]``, for i < j, masks the fields of
+    the graphs that join vertices i and j (0 if none), and ``start`` holds
+    one way into each graph's field.  Each field must be wide enough for
+    (n - 1)!!, the most matchings of any set of at most n vertices, so no
+    carry crosses fields.
 
     Each level covers the lowest vertex still uncovered in every live set
-    of uncovered vertices, one edge at a time, and adds the set's count of
-    ways into the set left over.  A count is one integer with a field per
-    graph, each wide enough for (n - 1)!!, the most matchings of any set of
-    at most n vertices, so no carry crosses fields; taking an edge of tier
-    t masks off the fields below t.  At the last level each live set holds
-    two vertices, which match only if they are joined.  If the largest
-    graph has an isolated vertex, no graph has a matching, and the counter
-    stops before the first level."""
-    n = len(later[0])
-    width = math.prod(range(n - 1, 0, -2)).bit_length()
-    shifts = range(0, len(later) * width, width)
-    field = (1 << width) - 1
-    every = (1 << shifts.stop) - 1
-    adj = {1 << i: [] for i in range(n)}
-    seen = 0
-    for rows, shift in zip(later, shifts):
-        keep = every >> shift << shift
-        bit = 1
-        for mask in rows:
-            if mask:
-                adj[bit].append((mask, keep))
-                seen |= mask | bit
-            bit <<= 1
-    full = bit - 1
-    if seen != full:
-        return [0] * len(later)
-    level = {full: every // field}  # one way into every graph
+    of uncovered vertices, one pair at a time, and adds the set's ways,
+    masked to the graphs that hold the pair, into the set left over; a pair
+    that no graph with ways into the set holds is skipped, so the live sets
+    are those of the union graph that some graph reaches.  At the last
+    level each live set holds two vertices, which match in the graphs that
+    join them."""
+    n = len(keep)
+    pairs = [[(1 << j, row[j]) for j in range(i + 1, n) if row[j]] for i, row in enumerate(keep)]
+    level = {(1 << n) - 1: start}
     for _ in range(n // 2 - 1):
         following: dict[int, int] = {}
         get = following.get
         for live, ways in level.items():
             low = live & -live
             rest = live ^ low
-            for mask, keep in adj[low]:
-                kept = ways & keep
-                sub = mask & rest
-                while sub:
-                    bit = sub & -sub
-                    sub ^= bit
-                    left = rest ^ bit
-                    following[left] = get(left, 0) + kept
-        if not following:
-            return [0] * len(later)
+            for bit, mask in pairs[low.bit_length() - 1]:
+                if bit & rest:
+                    kept = ways & mask
+                    if kept:
+                        left = rest ^ bit
+                        following[left] = get(left, 0) + kept
         level = following
     total = 0
     for live, ways in level.items():
-        for mask, keep in adj[live & -live]:
-            if mask & live:
-                total += ways & keep
-                break
-    return [total >> shift & field for shift in shifts]
+        low = live & -live
+        total += ways & keep[low.bit_length() - 1][(live ^ low).bit_length() - 1]
+    return total
 
 
 def permanent(matrix, *, override_limits: bool = False):

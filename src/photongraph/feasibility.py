@@ -147,7 +147,7 @@ def _find_pm_pairs(masks: list[int]) -> list[tuple[int, int]] | None:
         failed.add(matched)
         return False
 
-    if len(masks) % 2 != 0 or not rec(0):
+    if not rec(0):
         return None
     return pairs
 
@@ -174,7 +174,9 @@ def tutte_check(g: ExperimentGraph) -> tuple[str, ...] | TutteWitness:
     """Return a perfect matching or a minimal odd-components witness.
 
     The witness search enumerates subsets by increasing size with a
-    lexicographic tie-break, so the first reported witness is minimal."""
+    lexicographic tie-break, so the first reported witness is minimal.  Its
+    first subset, U = {}, is tried before the matching search, so a graph
+    with an odd component (any graph of odd order) needs no backtracking."""
     if g.measured:
         raise DomainError("matchability checks apply to unmeasured graphs")
     n = len(g.vertices)
@@ -183,19 +185,25 @@ def tutte_check(g: ExperimentGraph) -> tuple[str, ...] | TutteWitness:
             f"witness search on {n} vertices exceeds the guard (<= {TUTTE_VERTEX_LIMIT})"
         )
 
+    def witness(removed: int, odd: list[int]) -> TutteWitness:
+        return TutteWitness(
+            tuple(g.vertices[i] for i in _bits(removed)),
+            tuple(tuple(g.vertices[i] for i in _bits(comp)) for comp in odd),
+        )
+
     masks = g._neighbour_masks()
+    full = (1 << n) - 1
+    odd = _odd_components(masks, full)
+    if odd:  # U = {} is the first subset of the search: no backtracking needed
+        return witness(0, odd)
     pairs = _find_pm_pairs(masks)
     if pairs is not None:
         return _matching_edge_ids(g, pairs)
 
-    full = (1 << n) - 1
-    for size in range(0, n + 1):
+    for size in range(1, n + 1):
         for subset in combinations([1 << i for i in range(n)], size):
             removed = sum(subset)
             odd = _odd_components(masks, full & ~removed)
             if len(odd) > size:
-                return TutteWitness(
-                    tuple(g.vertices[i] for i in _bits(removed)),
-                    tuple(tuple(g.vertices[i] for i in _bits(comp)) for comp in odd),
-                )
+                return witness(removed, odd)
     raise AssertionError("no matching and no witness: unreachable for valid graphs")

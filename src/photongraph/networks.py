@@ -11,23 +11,28 @@ building a graph: the sampler behind :func:`~photongraph.graph.random_graph`
 draws one uniform per vertex pair, and the pair is an edge at each p above
 its draw (so a trial's graph at p is ``random_graph(n, p, trial_seed(seed,
 trial))``, and its graphs are nested as p grows).  Each edge gets the tier
-of the smallest p that holds it, the edges are written into one bitmask of
-later neighbours per tier and vertex, and the unit-graph matching counter of
-:mod:`~photongraph.counting` counts every p's graph in one pass, giving the
-hafnian of each graph's adjacency matrix.  Since no trial calls ``hafnian``,
-a scan applies its order guard itself, before any sampling.  With several
-workers, the caller counts one contiguous trial range and forks a child per
-other range, which pipes its histograms back as ``marshal`` bytes (only the
-network terms import :mod:`~photongraph.states`).
+of the smallest p that holds it.  A batch of trials is packed into one
+integer per vertex pair, with a byte-aligned slot per trial and a field per
+p that is set where the pair is an edge, and the unit-graph matching counter
+of :mod:`~photongraph.counting` counts every trial's graph at every p in one
+pass, giving the hafnian of each graph's adjacency matrix.  Since no trial
+calls ``hafnian``, a scan applies its order guard itself, before any
+sampling.  With several workers, at most one per core and per batch, the
+caller counts one contiguous trial range and forks a child per other range,
+which pipes its histograms back as ``marshal`` bytes (only the network terms
+import :mod:`~photongraph.states`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import marshal
+import math
 import os
 from bisect import bisect_right
 from collections import Counter
+from functools import partial
+from operator import gt
 
 from .counting import _check_hafnian_order, _unit_matchings
 from .errors import DomainError, PhotonGraphError
@@ -41,6 +46,8 @@ __all__ = [
     "network_state",
     "report_csv_rows",
 ]
+
+_BATCH = 256  # trials counted in one pass of the matching DP
 
 
 class EnsembleReport(_Record):
@@ -62,19 +69,51 @@ def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> li
     """Histograms of perfect-matching counts over trials ``start..stop-1``,
     one per p in the given order.  A trial is seeded and drawn once: each
     pair's tier is the number of distinct p at or below its draw, so it is
-    an edge at every p above its draw, and the unit-graph counter counts
-    every p at once from the tiers' bitmasks of later neighbours."""
+    an edge at every p above its draw.  A trial whose largest graph has an
+    isolated vertex counts 0 at every p; the others are packed ``_BATCH`` at
+    a time, one byte-aligned slot per trial with a field per p, and the
+    unit-graph counter counts a whole batch in one pass."""
     tiers = sorted(set(p_values))
-    pairs = [(i, 1 << j) for i in range(n) for j in range(i + 1, n)]
+    above = partial(gt, tiers[-1])  # an edge of the largest graph, for a p of any real type
+    width = math.prod(range(n - 1, 0, -2)).bit_length()
+    slot = -(-len(tiers) * width // 8)
+    shifts = range(0, len(tiers) * width, width)
+    field = (1 << width) - 1
+    # a pair of tier t is an edge in fields t and up; tier len(tiers) in none
+    marks = [sum(field << shift for shift in shifts[t:]).to_bytes(slot, "little") for t in range(len(tiers) + 1)]
+    ones = sum(1 << shift for shift in shifts).to_bytes(slot, "little")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # byte k of a vertex's mask is set if pair k holds the vertex
+    ends = [sum(1 << 8 * k for k, pair in enumerate(pairs) if v in pair) for v in range(n)]
     histograms = [Counter() for _ in tiers]
-    top = tiers[-1]
+    batch: list[list[bytes]] = []
+
+    def count_batch():
+        keep = [[0] * n for _ in range(n)]
+        for (i, j), column in zip(pairs, zip(*batch)):
+            keep[i][j] = int.from_bytes(b"".join(column), "little")
+        total = _unit_matchings(keep, int.from_bytes(ones * len(batch), "little"))
+        raw = total.to_bytes(len(batch) * slot, "little")
+        values = [int.from_bytes(raw[k:k + slot], "little") for k in range(0, len(raw), slot)]
+        for counts, shift in zip(histograms, shifts):
+            counts.update([value >> shift & field for value in values])
+        batch.clear()
+
+    unmatched = 0
     for trial in range(start, stop):
-        later = [[0] * n for _ in tiers]
-        for (i, bit), draw in zip(pairs, _gnp_draws(n, trial_seed(seed, trial))):
-            if draw < top:
-                later[bisect_right(tiers, draw)][i] |= bit
-        for counts, count in zip(histograms, _unit_matchings(later)):
-            counts[count] += 1
+        draws = _gnp_draws(n, trial_seed(seed, trial))
+        largest = int.from_bytes(bytes(map(above, draws)), "little")
+        if not all(map(largest.__and__, ends)):
+            unmatched += 1
+            continue
+        batch.append([marks[bisect_right(tiers, draw)] for draw in draws])
+        if len(batch) == _BATCH:
+            count_batch()
+    if batch:
+        count_batch()
+    if unmatched:
+        for counts in histograms:
+            counts[0] += unmatched
     by_p = dict(zip(tiers, histograms))
     return [Counter(by_p[p]) for p in p_values]
 
@@ -124,11 +163,11 @@ def ensemble_scan(
     full count histogram.  A trial is sampled and counted once for all p:
     its graphs are nested, and a report equals that of a one-p scan.  Every
     argument, and the hafnian order guard on ``n``, is checked before any
-    sampling.  ``workers`` processes (at most one per core and per trial)
-    each count one trial range: the caller counts the first and adds the
-    histograms of ``workers - 1`` forked children, which never outlive the
-    call.  Without ``os.fork`` it runs serially; with no p it samples
-    nothing."""
+    sampling.  ``workers`` processes (at most one per core and per batch of
+    ``_BATCH`` trials) each count one trial range: the caller counts the
+    first and adds the histograms of ``workers - 1`` forked children, which
+    never outlive the call.  Without ``os.fork`` it runs serially; with no p
+    it samples nothing."""
     if n % 2 != 0 or n < 2:
         raise DomainError(f"vertex count must be even and >= 2 for matching statistics, got {n}")
     if trials < 1:
@@ -142,7 +181,7 @@ def ensemble_scan(
     _check_hafnian_order(n)
     if not p_values:
         return []
-    workers = min(workers, os.cpu_count() or 1, trials) if hasattr(os, "fork") else 1
+    workers = min(workers, os.cpu_count() or 1, -(-trials // _BATCH)) if hasattr(os, "fork") else 1
     bounds = [trials * k // workers for k in range(workers + 1)]
     children = []
     try:  # extend keeps the children forked before a failed fork

@@ -128,23 +128,37 @@ def test_hafnian_matches_oracle_on_sparse_complex_matrices(m):
     assert abs(pg.hafnian(m) - naive_hafnian(m)) <= 1e-9 * scale
 
 
-def test_unit_matchings_fields_hold_the_most_matchings_side_by_side():
-    # K24's 23!! matchings fill both fields of a two-tier count: a carry out
-    # of the lower field would show in the upper one
+def _packed_counts(n: int, graphs: list[list[tuple[int, int]]]) -> list[int]:
+    """Matching counts of each graph, given as its vertex pairs i < j, from
+    one pass of the unit-graph counter with a field per graph."""
     from photongraph.counting import _unit_matchings
 
-    k24 = [((1 << 24) - 1) >> (i + 1) << (i + 1) for i in range(24)]
-    assert _unit_matchings([k24, [0] * 24]) == [math.prod(range(23, 0, -2))] * 2
+    width = math.prod(range(n - 1, 0, -2)).bit_length()
+    field = (1 << width) - 1
+    keep = [[0] * n for _ in range(n)]
+    for k, graph in enumerate(graphs):
+        for i, j in graph:
+            keep[i][j] |= field << k * width
+    total = _unit_matchings(keep, sum(1 << k * width for k in range(len(graphs))))
+    return [total >> k * width & field for k in range(len(graphs))]
+
+
+def test_unit_matchings_fields_hold_the_most_matchings_side_by_side():
+    # K24's 23!! matchings fill both fields of a two-graph count: a carry out
+    # of the lower field would show in the upper one
+    k24 = [(i, j) for i in range(24) for j in range(i + 1, 24)]
+    assert _packed_counts(24, [k24, k24]) == [math.prod(range(23, 0, -2))] * 2
 
 
 def test_unit_matchings_counts_nested_graphs():
-    # a 4-cycle 0-1-2-3 in tier 0 and the chords 0-2, 1-3 in tier 1: the
-    # cycle has two matchings and K4 three
-    from photongraph.counting import _unit_matchings
-
-    assert _unit_matchings([[0b1010, 0b0100, 0b1000, 0], [0b0100, 0b1000, 0, 0]]) == [2, 3]
-    assert _unit_matchings([[0b0100, 0b1000, 0, 0], [0b1010, 0b0100, 0b1000, 0]]) == [1, 3]
-    assert _unit_matchings([[0, 0b1000, 0, 0], [0b1110, 0b0100, 0b1000, 0]]) == [0, 3]
+    # a 4-cycle 0-1-2-3 and the chords 0-2, 1-3: the cycle has two
+    # matchings, the chords one and K4 three
+    cycle, chords = [(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 2), (1, 3)]
+    assert _packed_counts(4, [cycle, cycle + chords]) == [2, 3]
+    assert _packed_counts(4, [chords, chords + cycle]) == [1, 3]
+    assert _packed_counts(4, [[(1, 3)], cycle + chords]) == [0, 3]
+    # the family need not be nested
+    assert _packed_counts(4, [cycle, chords, []]) == [2, 1, 0]
 
 
 def test_permanent_identity():

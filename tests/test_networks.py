@@ -70,8 +70,12 @@ def test_fraction_monotone_in_p():
 
 
 def test_parallel_workers_match_serial(monkeypatch):
-    # two cores, whatever the host has, so workers=2 opens a real pool
+    # two cores, whatever the host has, and batches of 16 trials, so
+    # workers=2 forks a real child
+    from photongraph import networks
+
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(networks, "_BATCH", 16)
     for seed in (12, 13, 14):
         serial = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed)
         parallel = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed, workers=2)
@@ -89,8 +93,12 @@ def test_parallel_workers_match_serial(monkeypatch):
 )
 @settings(max_examples=40, deadline=None)
 def test_a_scan_reports_each_p_as_a_one_p_scan_does(n, trials, seed, ps, workers):
-    # two cores, whatever the host has, so workers=2 forks a child
-    with mock.patch.object(os, "cpu_count", lambda: 2):
+    # two cores, whatever the host has, and batches of 3 trials, so
+    # workers=2 forks a child from 4 trials on; the one-p scans count in
+    # batches of the default size
+    from photongraph import networks
+
+    with mock.patch.object(os, "cpu_count", lambda: 2), mock.patch.object(networks, "_BATCH", 3):
         reports = pg.ensemble_scan(n, ps, trials, seed, workers=workers)
     assert reports == [pg.ensemble_scan(n, [p], trials, seed)[0] for p in ps]
 
@@ -101,6 +109,51 @@ def test_the_fields_of_one_count_stay_apart_at_the_order_guard():
     assert k24 == 316234143225
     reports = pg.ensemble_scan(24, [1.0, 0.0, 1.0], 1, 5)
     assert [r.pm_count_histogram for r in reports] == [{k24: 1}, {0: 1}, {k24: 1}]
+    # three trials' full fields side by side in one batch
+    reports = pg.ensemble_scan(24, [1.0, 0.0, 1.0], 3, 5)
+    assert [r.pm_count_histogram for r in reports] == [{k24: 3}, {0: 3}, {k24: 3}]
+
+
+def test_a_batch_mixes_trials_with_an_isolated_vertex_and_matchable_ones():
+    from photongraph.networks import _count_range
+
+    n, ps, seed = 8, (0.1, 0.35), 17
+    graphs = [[pg.random_graph(n, p, pg.trial_seed(seed, trial)) for p in ps] for trial in range(16)]
+    isolated = [any(largest.degree(v) == 0 for v in largest.vertices) for *_, largest in graphs]
+    assert any(isolated) and not all(isolated)
+    counts = [[pg.hafnian(g.adjacency()) for g in trial] for trial in graphs]
+    assert any(trial[-1] for trial in counts)
+    assert _count_range(n, ps, seed, 0, 16) == [Counter(trial[k] for trial in counts) for k in range(len(ps))]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=6).map(lambda half: 2 * half),
+    start=st.integers(min_value=0, max_value=8),
+    length=st.integers(min_value=1, max_value=9),
+    batch=st.sampled_from([1, 2, 3]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    ps=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=3)
+    .map(lambda ps: ps + [0.0, 1.0, (ps or [0.5])[0]])
+    .flatmap(st.permutations),
+)
+@settings(max_examples=40, deadline=None)
+def test_batches_count_every_trial_as_its_hafnian(n, start, length, batch, seed, ps):
+    # small batches, so a trial range starts and ends anywhere in a batch
+    from photongraph import networks
+
+    with mock.patch.object(networks, "_BATCH", batch):
+        histograms = networks._count_range(n, ps, seed, start, start + length)
+    trials = range(start, start + length)
+    assert histograms == [
+        Counter(pg.hafnian(pg.random_graph(n, p, pg.trial_seed(seed, trial)).adjacency()) for trial in trials)
+        for p in ps
+    ]
+
+
+def test_integer_and_fraction_probabilities_count_as_their_floats():
+    from fractions import Fraction
+
+    assert pg.ensemble_scan(6, [0, 1, Fraction(1, 2)], 50, 7) == pg.ensemble_scan(6, [0.0, 1.0, 0.5], 50, 7)
 
 
 def test_trial_seed_mixing():
@@ -151,18 +204,22 @@ def test_ensemble_refuses_large_orders_before_sampling(no_sampling, workers):
 @pytest.mark.parametrize(
     "cpus, workers, trials, ps, sizes",
     [
-        (8, 100_000, 3, [0.5], [1, 1]),  # three trials: the caller and two children
+        (8, 100_000, 3, [0.5], [2]),  # three trials, two batches: the caller and one child
         (2, 100_000, 50, [0.3, 0.7], [25]),  # two cores: one child
         (8, 4, 1, [0.5], []),  # one trial: no child
         (None, 4, 50, [0.5], []),  # core count unknown: no child
         (8, 4, 50, [], []),  # no p: no child
+        (8, 100_000, 7, [0.5], [2, 2, 2]),  # four batches: the caller and three children
+        (8, 4, 2, [0.5], []),  # one batch: no child
     ],
 )
 def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, trials, ps, sizes):
-    """``sizes`` lists the trial count of each child a scan starts; an
+    """A scan starts at most one process per core and per batch of 2
+    trials; ``sizes`` lists the trial count of each child it starts, and an
     in-process stand-in for the fork counts its share at once."""
     from photongraph import networks
 
+    monkeypatch.setattr(networks, "_BATCH", 2)
     started = []
 
     def fork_share(n, p_values, seed, start, stop):
@@ -179,9 +236,9 @@ def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, tri
 
 @pytest.fixture
 def fail_share(monkeypatch):
-    """Two cores, and a ``_count_range`` that raises the exception given to
-    ``fail_share(exc, in_caller)`` in the caller or in a child; after the
-    test no child of this process is left."""
+    """Two cores, batches of 4 trials, and a ``_count_range`` that raises
+    the exception given to ``fail_share(exc, in_caller)`` in the caller or
+    in a child; after the test no child of this process is left."""
     from photongraph import networks
 
     count_range, caller, failure = networks._count_range, os.getpid(), []
@@ -192,6 +249,7 @@ def fail_share(monkeypatch):
         return count_range(*args)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(networks, "_BATCH", 4)
     monkeypatch.setattr(networks, "_count_range", count_or_fail)
     yield lambda exc, in_caller: failure.extend((exc, in_caller))
     with pytest.raises(ChildProcessError):
@@ -229,6 +287,7 @@ def test_a_large_child_histogram_comes_through_the_pipe(monkeypatch):
 
     big = {count: count for count in range(20_000)}
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(networks, "_BATCH", 1)
     monkeypatch.setattr(networks, "_count_range", lambda n, p_values, *args: [Counter(big) for _ in p_values])
     report = pg.ensemble_scan(6, [0.5], 2, 0, workers=2)[0]
     assert report.pm_count_histogram == {count: 2 * count for count in range(20_000)}
