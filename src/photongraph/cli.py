@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, the calling one included, at most one per core and per batch of 256 trials")
+                   help="worker processes, the calling one included, capped at the core count")
     p.add_argument("--csv", help="write (p, fraction, count, frequency) rows here")
     p.set_defaults(handler=_cmd_random)
 

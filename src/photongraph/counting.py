@@ -26,6 +26,7 @@ double precision; results should be compared at a 1e-9 tolerance.
 from __future__ import annotations
 
 import cmath
+from itertools import compress
 
 from .errors import DomainError, NotBipartiteError, ScaleLimitError
 from .graph import ExperimentGraph
@@ -138,7 +139,8 @@ def _unit_matchings(keep: list[list[int]], start: int) -> int:
     level each live set holds two vertices, which match in the graphs that
     join them."""
     n = len(keep)
-    pairs = [[(1 << j, row[j]) for j in range(i + 1, n) if row[j]] for i, row in enumerate(keep)]
+    bits = [1 << j for j in range(n)]
+    pairs = [list(compress(zip(bits, row), row)) for row in keep]  # a pair j <= i never meets rest
     level = {(1 << n) - 1: start}
     for _ in range(n // 2 - 1):
         following: dict[int, int] = {}

@@ -17,10 +17,10 @@ p that is set where the pair is an edge, and the unit-graph matching counter
 of :mod:`~photongraph.counting` counts every trial's graph at every p in one
 pass, giving the hafnian of each graph's adjacency matrix.  Since no trial
 calls ``hafnian``, a scan applies its order guard itself, before any
-sampling.  With several workers, at most one per core and per batch, the
+sampling.  With several workers, at most one per core and per trial, the
 caller counts one contiguous trial range and forks a child per other range,
-which pipes its histograms back as ``marshal`` bytes (only the network terms
-import :mod:`~photongraph.states`).
+which pipes its histograms back as ``marshal`` bytes and counts its range in
+batches of its own (only the network terms import :mod:`~photongraph.states`).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from functools import partial
+from itertools import compress
 from operator import gt
 
 from .counting import _check_hafnian_order, _unit_matchings
@@ -47,7 +48,7 @@ __all__ = [
     "report_csv_rows",
 ]
 
-_BATCH = 256  # trials counted in one pass of the matching DP
+_BATCH_BITS = 1 << 13  # packed width of a batch's count, whatever the number of p
 
 
 class EnsembleReport(_Record):
@@ -65,18 +66,32 @@ def trial_seed(seed: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _batch_size(n: int, top, slot: int) -> int:
+    """Trials counted in one pass of the matching DP: as many slots of
+    ``slot`` bytes as ``_BATCH_BITS`` holds, so a count's width, and with it
+    the DP's memory, does not grow with the number of p.  On 20 or more
+    vertices with every p below 0.2 (``top`` is the largest), the trials of
+    a batch share few live sets and the wide fields cost more than the
+    shared walk saves, so a batch is one trial."""
+    if n >= 20 and top < 0.2:
+        return 1
+    return max(1, _BATCH_BITS // (8 * slot))
+
+
 def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> list[Counter]:
     """Histograms of perfect-matching counts over trials ``start..stop-1``,
     one per p in the given order.  A trial is seeded and drawn once: each
     pair's tier is the number of distinct p at or below its draw, so it is
     an edge at every p above its draw.  A trial whose largest graph has an
-    isolated vertex counts 0 at every p; the others are packed ``_BATCH`` at
-    a time, one byte-aligned slot per trial with a field per p, and the
-    unit-graph counter counts a whole batch in one pass."""
+    isolated vertex counts 0 at every p; the others are packed
+    :func:`_batch_size` at a time, one byte-aligned slot per trial with a
+    field per p, and the unit-graph counter counts a whole batch in one
+    pass."""
     tiers = sorted(set(p_values))
     above = partial(gt, tiers[-1])  # an edge of the largest graph, for a p of any real type
     width = math.prod(range(n - 1, 0, -2)).bit_length()
     slot = -(-len(tiers) * width // 8)
+    size = _batch_size(n, tiers[-1], slot)
     shifts = range(0, len(tiers) * width, width)
     field = (1 << width) - 1
     # a pair of tier t is an edge in fields t and up; tier len(tiers) in none
@@ -86,12 +101,14 @@ def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> li
     # byte k of a vertex's mask is set if pair k holds the vertex
     ends = [sum(1 << 8 * k for k, pair in enumerate(pairs) if v in pair) for v in range(n)]
     histograms = [Counter() for _ in tiers]
-    batch: list[list[bytes]] = []
+    batch: list[list[float]] = []
+    held = 0  # byte k is set if pair k is an edge of some largest graph of the batch
 
     def count_batch():
         keep = [[0] * n for _ in range(n)]
-        for (i, j), column in zip(pairs, zip(*batch)):
-            keep[i][j] = int.from_bytes(b"".join(column), "little")
+        for k in compress(range(len(pairs)), held.to_bytes(len(pairs), "little")):
+            i, j = pairs[k]
+            keep[i][j] = int.from_bytes(b"".join([marks[bisect_right(tiers, draws[k])] for draws in batch]), "little")
         total = _unit_matchings(keep, int.from_bytes(ones * len(batch), "little"))
         raw = total.to_bytes(len(batch) * slot, "little")
         values = [int.from_bytes(raw[k:k + slot], "little") for k in range(0, len(raw), slot)]
@@ -106,9 +123,11 @@ def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> li
         if not all(map(largest.__and__, ends)):
             unmatched += 1
             continue
-        batch.append([marks[bisect_right(tiers, draw)] for draw in draws])
-        if len(batch) == _BATCH:
+        batch.append(draws)
+        held |= largest
+        if len(batch) == size:
             count_batch()
+            held = 0
     if batch:
         count_batch()
     if unmatched:
@@ -163,10 +182,10 @@ def ensemble_scan(
     full count histogram.  A trial is sampled and counted once for all p:
     its graphs are nested, and a report equals that of a one-p scan.  Every
     argument, and the hafnian order guard on ``n``, is checked before any
-    sampling.  ``workers`` processes (at most one per core and per batch of
-    ``_BATCH`` trials) each count one trial range: the caller counts the
-    first and adds the histograms of ``workers - 1`` forked children, which
-    never outlive the call.  Without ``os.fork`` it runs serially; with no p
+    sampling.  ``workers`` processes (at most one per core and per trial)
+    each count one trial range in batches of their own: the caller counts
+    the first and adds the histograms of ``workers - 1`` forked children,
+    which never outlive the call.  Without ``os.fork`` it runs serially; with no p
     it samples nothing."""
     if n % 2 != 0 or n < 2:
         raise DomainError(f"vertex count must be even and >= 2 for matching statistics, got {n}")
@@ -181,7 +200,7 @@ def ensemble_scan(
     _check_hafnian_order(n)
     if not p_values:
         return []
-    workers = min(workers, os.cpu_count() or 1, -(-trials // _BATCH)) if hasattr(os, "fork") else 1
+    workers = min(workers, os.cpu_count() or 1, trials) if hasattr(os, "fork") else 1
     bounds = [trials * k // workers for k in range(workers + 1)]
     children = []
     try:  # extend keeps the children forked before a failed fork

