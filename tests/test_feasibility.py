@@ -56,6 +56,39 @@ def test_hall_pinned_parts():
     assert result == ("a", "b")
 
 
+def test_hall_refuses_bad_pinned_parts():
+    """Pinned parts that miss, repeat or add a vertex are refused before any
+    edge is read; an edge inside a part is named by the first one declared,
+    and it is refused before unequal part sizes are."""
+    xs, ys = ("x1", "x2"), ("y1", "y2")
+    edges = [Edge("b", "x1", "y1"), Edge("z", "y2", "y1"), Edge("a", "x1", "x2"), Edge("c", "x2", "y2")]
+    g = ExperimentGraph(xs + ys, edges)
+
+    def outcome(parts):
+        try:
+            pg.hall_check(g, parts)
+        except pg.PhotonGraphError as exc:
+            return type(exc), str(exc), getattr(exc, "odd_cycle", None), exc.reason
+        raise AssertionError("hall_check accepted bad parts")
+
+    def inner(edge_id):
+        return pg.NotBipartiteError, f"edge {edge_id!r} joins two vertices of the same part", (), "not-bipartite"
+
+    cover = (pg.DomainError, "bipartition parts must cover every vertex exactly once", None, "domain-error")
+    cases = [
+        ((xs, ys), inner("z")),
+        ((("x1", "y1"), ("x2", "y2")), inner("b")),
+        ((("x1", "x2", "y2"), ("y1",)), inner("a")),
+        ((("x1",), ys), cover),
+        ((xs, ("x2", "y1", "y2")), cover),
+        ((("x1", "x1", "x2"), ys), cover),
+        (((), ()), cover),
+        ((xs + ("q",), ys), (pg.DomainError, "unknown vertex 'q'", None, "domain-error")),
+    ]
+    for parts, expected in cases:
+        assert outcome(parts) == expected, parts
+
+
 def test_tutte_spider_witness():
     result = pg.tutte_check(spider())
     assert isinstance(result, TutteWitness)
