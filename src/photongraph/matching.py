@@ -5,8 +5,14 @@ it is the graph-side picture of an n-fold coincidence.  Measured (merged)
 vertices absorb two photons and must be covered exactly twice; covers of
 graphs with measured vertices are called coincidence covers.  One walk,
 ``_covers``, lists them all: it covers the lowest vertex still in need
-completely at each step, so each cover appears once.  The GHZ-dimension
-scan and the target search take the pairings of K_n from the same walk;
+completely at each step, so each cover appears once.  The rest of a cover
+depends only on which vertices still need one edge and which two, so the
+walk is memoized on that state, kept as one int of vertex bitmasks: each
+state's sub-covers are listed once and shared by every path that reaches
+it.  A cover is a tuple of per-edge labels chosen by the caller:
+``enumerate_pm`` passes the edge ids and gets its id tuples directly, the
+callers that build bitmasks pass edge indices.  The GHZ-dimension scan and
+the target search take the pairings of K_n from the same walk;
 1-factorizations are searched over bitsets of the candidate matchings.
 
 Counting perfect matchings is #P-complete, so every operation here is an
@@ -20,7 +26,6 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import combinations
 
 from .errors import DomainError, ScaleLimitError
 from .graph import ExperimentGraph, _FrozenRecord, _graph_from_pairs
@@ -75,60 +80,81 @@ def _check_scale(g: ExperimentGraph, override_limits: bool):
         )
 
 
-def _covers(need: list[int], ends: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Every edge subset meeting each vertex v exactly ``need[v]`` times, as
-    sorted tuples of indices into ``ends`` (the edges as vertex index pairs).
+def _covers(need: list[int], ends: list[tuple[int, int]], labels) -> list[tuple]:
+    """Every edge subset meeting each vertex v exactly ``need[v]`` (1 or 2)
+    times, as sorted tuples of the edges' ``labels``, in sorted order;
+    ``ends`` holds the edges as vertex index pairs.
+
     Each step covers the lowest vertex with need left completely, by one edge
     or an unordered pair of its free edges, so every cover is produced once:
-    an edge to a covered vertex is never free again.  A step lowers only the
-    needs of the ends it takes, and restores them on return."""
-    incident: list[list[tuple[int, int]]] = [[] for _ in need]
-    for k, (a, b) in enumerate(ends):
-        incident[a].append((k, b))
-        incident[b].append((k, a))
-    out: list[tuple[int, ...]] = []
+    an edge to a covered vertex is never free again.  What is left to cover
+    depends only on which vertices still need an edge and which of them need
+    two, so the walk is memoized on that state, one int: the mask of the
+    vertices in need in its low n bits and, above them, the mask of those
+    needing two (zero when no vertex is measured).  Each state's sub-covers
+    are listed once, as label tuples in walk order, and shared by every path
+    that reaches the state; each whole cover is sorted once at the end."""
+    n = len(need)
+    incident: list[list[tuple[tuple, int, int]]] = [[] for _ in need]
+    for (a, b), label in zip(ends, labels):
+        incident[a].append(((label,), 1 << b, 1 << n + b))
+        incident[b].append(((label,), 1 << a, 1 << n + a))
+    memo: dict[int, list[tuple]] = {0: [()]}
 
-    def rec(v: int, chosen: tuple[int, ...]):
-        while v < len(need) and not need[v]:
-            v += 1
-        if v == len(need):
-            out.append(tuple(sorted(chosen)))
-        elif need[v] == 1:
-            need[v] = 0
-            for k, w in incident[v]:
-                if need[w]:
-                    need[w] -= 1
-                    rec(v + 1, chosen + (k,))
-                    need[w] += 1
-            need[v] = 1
+    def walk(state: int) -> list[tuple]:
+        low = state & -state
+        v = low.bit_length() - 1
+        out: list[tuple] = []
+        if state >> n + v & 1:
+            rest = state ^ low ^ low << n
+            free = [edge for edge in incident[v] if rest & edge[1]]
+            for i, (k, w, w2) in enumerate(free):
+                for l, x, x2 in free[i + 1:]:
+                    if w != x:
+                        sub = rest ^ (w2 if rest & w2 else w)
+                        sub ^= x2 if sub & x2 else x
+                    elif rest & w2:
+                        sub = rest ^ w ^ w2
+                    else:
+                        continue
+                    found = memo.get(sub)
+                    if found is None:
+                        found = walk(sub)
+                    if found:
+                        out += map((k + l).__add__, found)
         else:
-            need[v] = 0
-            for (k, w), (l, x) in combinations([(k, w) for k, w in incident[v] if need[w]], 2):
-                if w != x or need[w] > 1:
-                    need[w] -= 1
-                    need[x] -= 1
-                    rec(v + 1, chosen + (k, l))
-                    need[w] += 1
-                    need[x] += 1
-            need[v] = 2
+            rest = state ^ low
+            for k, w, w2 in incident[v]:
+                if rest & w:
+                    sub = rest ^ (w2 if rest & w2 else w)
+                    found = memo.get(sub)
+                    if found is None:
+                        found = walk(sub)
+                    if found:
+                        out += map(k.__add__, found)
+        memo[state] = out
+        return out
 
-    rec(0, ())
-    return out
+    state = (1 << n) - 1 | sum(1 << n + v for v, k in enumerate(need) if k == 2)
+    out = walk(state) if state else memo[0]
+    walk = None  # the closure refers to itself; drop the cycle before returning
+    memo.clear()  # frees the sub-covers before the sorted copies are made
+    return sorted(map(tuple, map(sorted, out)))
 
 
-def _index_covers(g: ExperimentGraph, override_limits: bool) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The id-sorted edge ids, and the sorted covers as tuples of indices into them."""
+def _cover_input(g: ExperimentGraph, override_limits: bool) -> tuple[list[str], list[int], list[tuple[int, int]]]:
+    """The id-sorted edge ids, each vertex's need and the edges' end indices."""
     _check_scale(g, override_limits)
     edges = sorted(g.edges, key=lambda e: e.id)
     need = [2 if v in g.measured else 1 for v in g.vertices]
-    return [e.id for e in edges], sorted(_covers(need, [(g.index(e.u), g.index(e.v)) for e in edges]))
+    return [e.id for e in edges], need, [(g.index(e.u), g.index(e.v)) for e in edges]
 
 
 def enumerate_pm(g: ExperimentGraph, *, override_limits: bool = False) -> list[Matching]:
     """All perfect matchings (coincidence covers when vertices are measured),
     duplicate-free and sorted lexicographically by edge-id tuple."""
-    ids, covers = _index_covers(g, override_limits)
-    return [tuple(map(ids.__getitem__, cover)) for cover in covers]
+    ids, need, ends = _cover_input(g, override_limits)
+    return _covers(need, ends, ids)
 
 
 def is_coincidence_cover(g: ExperimentGraph, edge_ids) -> bool:
@@ -162,7 +188,8 @@ def max_disjoint_pms(
     returned.  Every cover takes one edge end at a plain vertex and two at a
     measured one, so no more than min over v of deg(v) // need(v) covers
     are pairwise disjoint; the search stops once it holds that many."""
-    ids, covers = _index_covers(g, override_limits)
+    ids, need, ends = _cover_input(g, override_limits)
+    covers = _covers(need, ends, range(len(ends)))
     masks = [sum(1 << k for k in cover) for cover in covers]
     cap = min(
         (g.degree(v) // (2 if v in g.measured else 1) for v in g.vertices),
@@ -220,7 +247,7 @@ def scan_ghz_dimension(
         )
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pms = sorted(sum(1 << k for k in cover) for cover in _covers([1] * n, pairs))
+    pms = sorted(sum(1 << k for k in cover) for cover in _covers([1] * n, pairs, range(len(pairs))))
     # Families and pairing sets are bitsets over the indices into ``pms``.
     every = (1 << len(pms)) - 1
     holding = [sum(1 << i for i, m in enumerate(pms) if m >> k & 1) for k in range(len(pairs))]
@@ -282,7 +309,8 @@ def enumerate_factorizations(
     if g.measured:
         raise DomainError("factorizations are defined for unmeasured graphs")
 
-    ids, covers = _index_covers(g, override_limits)
+    ids, need, ends = _cover_input(g, override_limits)
+    covers = _covers(need, ends, range(len(ends)))
     pms = [tuple(map(ids.__getitem__, cover)) for cover in covers]
     masks = [sum(1 << k for k in cover) for cover in covers]
     full = (1 << len(ids)) - 1

@@ -427,7 +427,7 @@ def search_graph_for_state(
 
     names = vertex_names(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    all_pairings = [[pairs[k] for k in cover] for cover in _covers([1] * n, pairs)]
+    all_pairings = _covers([1] * n, pairs, pairs)
     pairing_count = len(all_pairings)
     # No graph within the edge budget hosts more distinct covers than this.
     cover_capacity = math.comb(max_edges, n // 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -141,6 +142,55 @@ def disjointness_graphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_enumeration_matches_brute_force_on_measured_multigraphs(g):
     assert pg.enumerate_pm(g) == brute_force_covers(g)
+
+
+@st.composite
+def relabelled_multigraphs(draw):
+    """A multigraph on at most 14 vertices with 0, 1 or 2 measured vertices,
+    parallel edges and, most of the time, a planted cover, and the same
+    graph declared with its vertices in another order and its edges
+    shuffled, each edge given from either end."""
+    n = draw(st.integers(min_value=0, max_value=14) | st.integers(min_value=10, max_value=14))
+    names = [f"v{i}" for i in range(n)]
+    measured = draw(st.lists(st.sampled_from(names), max_size=2, unique=True)) if n else []
+    slots = draw(st.permutations(names + measured)) if draw(st.integers(0, 4)) else []
+    planted = [(u, v) for u, v in zip(slots[::2], slots[1::2]) if u != v]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)), max_size=2 * n)) if n > 1 else []
+    ends = planted + [(names[i], names[j + (j >= i)]) for i, j in extra]
+    edges = [Edge(f"e{k}", u, v) for k, (u, v) in enumerate(ends)]
+    order = draw(st.permutations(names))
+    shuffled = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    flipped = [Edge(e.id, e.v, e.u) if flip else e for e, flip in zip(shuffled, flips)]
+    return ExperimentGraph(names, edges, measured), ExperimentGraph(order, flipped, measured)
+
+
+@given(relabelled_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_cover_walk_is_invariant_and_counts_the_hafnian(graphs):
+    """Past the brute-force oracle's reach: the covers do not depend on the
+    declaration order of vertices or edges, each is a coincidence cover and
+    appears once, and an unmeasured graph has as many as its hafnian."""
+    g, relabelled = graphs
+    covers = pg.enumerate_pm(g)
+    assert pg.enumerate_pm(relabelled) == covers
+    assert len(set(covers)) == len(covers)
+    assert all(pg.is_coincidence_cover(g, cover) for cover in covers)
+    if not g.measured:
+        assert len(covers) == (pg.hafnian(g.adjacency()) if len(g.vertices) % 2 == 0 else 0)
+
+
+def test_enumeration_leaves_no_garbage_cycle():
+    g = pg.complete_graph(12)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        pg.enumerate_pm(g, override_limits=True)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize(
