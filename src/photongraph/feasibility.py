@@ -60,20 +60,15 @@ def hall_check(
     detected by 2-coloring (lowest-index vertex of each component in X)."""
     if g.measured:
         raise DomainError("matchability checks apply to unmeasured graphs")
-    if parts is None:
-        part_x, part_y = g.bipartition()
-    else:
-        part_x = tuple(sorted(parts[0], key=g.index))
-        part_y = tuple(sorted(parts[1], key=g.index))
-        g.biadjacency((part_x, part_y))  # validates the pinned bipartition
-    if len(part_x) != len(part_y):
+    masks = g._neighbour_masks()
+    part_x, part_y = g._sides(masks, parts)
+    if part_x.bit_count() != part_y.bit_count():
         raise DomainError(
-            f"parts have sizes {len(part_x)} and {len(part_y)}; a perfect "
+            f"parts have sizes {part_x.bit_count()} and {part_y.bit_count()}; a perfect "
             "matching needs equal parts",
             reason="unequal-parts",
         )
 
-    masks = g._neighbour_masks()
     match_of_y = [-1] * len(masks)
     visited = 0
 
@@ -89,7 +84,7 @@ def hall_check(
         return False
 
     unmatched = []
-    for x in map(g.index, part_x):
+    for x in _bits(part_x):
         visited = 0
         if not augment(x):
             unmatched.append(x)

@@ -263,7 +263,27 @@ class ExperimentGraph:
         """Two-color the graph; the lowest-index vertex of every component
         lands in part X.  Raises :class:`NotBipartiteError` with an odd-cycle
         witness otherwise."""
-        masks = self._neighbour_masks()
+        x, y = self._sides(self._neighbour_masks())
+        return tuple(self.vertices[i] for i in _bits(x)), tuple(self.vertices[i] for i in _bits(y))
+
+    def _sides(self, masks: list[int], parts=None) -> tuple[int, int]:
+        """The two parts as bitmasks over declaration indices, read from the
+        neighbour ``masks``: the pinned ``parts``, checked to hold every
+        vertex once and no edge inside a part, or by default the two-coloring
+        of :meth:`bipartition`."""
+        if parts is not None:
+            sides, size = [0, 0], 0
+            for s in (0, 1):
+                for name in parts[s]:
+                    sides[s] |= 1 << self.index(name)
+                    size += 1
+            x, y = sides
+            if size != len(masks) or x | y != (1 << len(masks)) - 1:
+                raise DomainError("bipartition parts must cover every vertex exactly once")
+            if any(masks[i] & (x if x >> i & 1 else y) for i in range(len(masks))):
+                inner = next(e for e in self.edges if not (x >> self._index[e.u] ^ x >> self._index[e.v]) & 1)
+                raise NotBipartiteError(f"edge {inner.id!r} joins two vertices of the same part")
+            return x, y
         parent: list[int | None] = [None] * len(masks)
         side = [0, 0]  # the vertices of each color, as bitmasks
         for start in range(len(masks)):
@@ -285,31 +305,20 @@ class ExperimentGraph:
                 for w in _bits(new):
                     parent[w] = v
                     queue.append(w)
-        part_x = tuple(v for i, v in enumerate(self.vertices) if side[0] >> i & 1)
-        part_y = tuple(v for i, v in enumerate(self.vertices) if side[1] >> i & 1)
-        return part_x, part_y
+        return side[0], side[1]
 
     def biadjacency(self, parts: tuple[Iterable[str], Iterable[str]] | None = None) -> Biadjacency:
         """Multiplicity matrix over a bipartition (auto-detected by default)."""
-        if parts is None:
-            rows, cols = self.bipartition()
-        else:
-            rows = tuple(sorted(parts[0], key=self.index))
-            cols = tuple(sorted(parts[1], key=self.index))
-            if sorted(rows + cols) != sorted(self.vertices):
-                raise DomainError("bipartition parts must cover every vertex exactly once")
+        x, y = self._sides(self._neighbour_masks(), parts)
+        rows, cols = tuple(self.vertices[i] for i in _bits(x)), tuple(self.vertices[i] for i in _bits(y))
         row_pos = {v: i for i, v in enumerate(rows)}
         col_pos = {v: i for i, v in enumerate(cols)}
         entries = [[0] * len(cols) for _ in rows]
         for e in self.edges:
-            if e.u in row_pos and e.v in col_pos:
+            if e.u in row_pos:
                 entries[row_pos[e.u]][col_pos[e.v]] += 1
-            elif e.v in row_pos and e.u in col_pos:
-                entries[row_pos[e.v]][col_pos[e.u]] += 1
             else:
-                raise NotBipartiteError(
-                    f"edge {e.id!r} joins two vertices of the same part"
-                )
+                entries[row_pos[e.v]][col_pos[e.u]] += 1
         return Biadjacency(rows, cols, tuple(tuple(r) for r in entries))
 
     def __eq__(self, other) -> bool:
