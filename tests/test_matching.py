@@ -150,6 +150,7 @@ def relabelled_multigraphs(draw):
     parallel edges and, most of the time, a planted cover, and the same
     graph declared with its vertices in another order and its edges
     shuffled, each edge given from either end."""
+    # Weighted toward 10-14 vertices, where the brute-force oracle stops.
     n = draw(st.integers(min_value=0, max_value=14) | st.integers(min_value=10, max_value=14))
     names = [f"v{i}" for i in range(n)]
     measured = draw(st.lists(st.sampled_from(names), max_size=2, unique=True)) if n else []
