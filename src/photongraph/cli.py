@@ -331,7 +331,10 @@ def _phase_list(text: str) -> list[float]:
     return phases
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; with a known ``command``, a parser
+    with that subparser alone, which parses and reports a call of it as the
+    full parser does, less the cost of building the other subparsers."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "structured"), default="text",
@@ -350,107 +353,133 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("matchings", parents=[guarded], help="enumerate perfect matchings")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_matchings)
+    if command in (None, "matchings"):
+        p = sub.add_parser("matchings", parents=[guarded], help="enumerate perfect matchings")
+        p.add_argument("graph")
+        p.set_defaults(handler=_cmd_matchings)
 
-    p = sub.add_parser("count", parents=[guarded], help="count matchings by enumeration and matrix kernels")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_count)
+    if command in (None, "count"):
+        p = sub.add_parser("count", parents=[guarded], help="count matchings by enumeration and matrix kernels")
+        p.add_argument("graph")
+        p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("state", parents=[guarded], help="post-selected state of a graph")
-    p.add_argument("graph")
-    p.add_argument("--normalize", action="store_true")
-    p.set_defaults(handler=_cmd_state)
+    if command in (None, "state"):
+        p = sub.add_parser("state", parents=[guarded], help="post-selected state of a graph")
+        p.add_argument("graph")
+        p.add_argument("--normalize", action="store_true")
+        p.set_defaults(handler=_cmd_state)
 
-    p = sub.add_parser("verify", parents=[guarded], help="compare a graph's state against a target")
-    p.add_argument("graph")
-    p.add_argument("state")
-    p.set_defaults(handler=_cmd_verify)
+    if command in (None, "verify"):
+        p = sub.add_parser("verify", parents=[guarded], help="compare a graph's state against a target")
+        p.add_argument("graph")
+        p.add_argument("state")
+        p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("search", parents=[common], help="search small multigraphs for a target state")
-    p.add_argument("state")
-    p.add_argument("--max-edges", type=int, default=8)
-    p.add_argument("--max-mode", type=int, default=3)
-    p.add_argument("--max-parallel", type=int, default=4)
-    p.set_defaults(handler=_cmd_search)
+    if command in (None, "search"):
+        p = sub.add_parser("search", parents=[common], help="search small multigraphs for a target state")
+        p.add_argument("state")
+        p.add_argument("--max-edges", type=int, default=8)
+        p.add_argument("--max-mode", type=int, default=3)
+        p.add_argument("--max-parallel", type=int, default=4)
+        p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("frustrate", parents=[guarded], help="sweep one edge's phase, report intensity")
-    p.add_argument("graph")
-    p.add_argument("edge")
-    p.add_argument(
-        "--phases", type=_phase_list, required=True,
-        help="comma-separated radians; write --phases=-1,2 when the list starts with a negative number",
-    )
-    p.set_defaults(handler=_cmd_frustrate)
+    if command in (None, "frustrate"):
+        p = sub.add_parser("frustrate", parents=[guarded], help="sweep one edge's phase, report intensity")
+        p.add_argument("graph")
+        p.add_argument("edge")
+        p.add_argument(
+            "--phases", type=_phase_list, required=True,
+            help="comma-separated radians; write --phases=-1,2 when the list starts with a negative number",
+        )
+        p.set_defaults(handler=_cmd_frustrate)
 
-    p = sub.add_parser("ghz-max", parents=[guarded], help="largest set of pairwise disjoint matchings")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_ghz_max)
+    if command in (None, "ghz-max"):
+        p = sub.add_parser("ghz-max", parents=[guarded], help="largest set of pairwise disjoint matchings")
+        p.add_argument("graph")
+        p.set_defaults(handler=_cmd_ghz_max)
 
-    p = sub.add_parser("factorize", parents=[guarded], help="enumerate 1-factorizations")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_factorize)
+    if command in (None, "factorize"):
+        p = sub.add_parser("factorize", parents=[guarded], help="enumerate 1-factorizations")
+        p.add_argument("graph")
+        p.set_defaults(handler=_cmd_factorize)
 
-    p = sub.add_parser("layers", parents=[guarded], help="split matchings into layer and maverick terms")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_layers)
+    if command in (None, "layers"):
+        p = sub.add_parser("layers", parents=[guarded], help="split matchings into layer and maverick terms")
+        p.add_argument("graph")
+        p.set_defaults(handler=_cmd_layers)
 
-    p = sub.add_parser("check", parents=[common], help="matchability with constructive witnesses")
-    p.add_argument("criterion", choices=("hall", "tutte"))
-    p.add_argument("graph")
-    p.add_argument(
-        "--parts-by-order", action="store_true", dest="parts_by_order",
-        help="pin part X to the first half of the declared vertices (hall only)",
-    )
-    p.set_defaults(handler=_cmd_check)
+    if command in (None, "check"):
+        p = sub.add_parser("check", parents=[common], help="matchability with constructive witnesses")
+        p.add_argument("criterion", choices=("hall", "tutte"))
+        p.add_argument("graph")
+        p.add_argument(
+            "--parts-by-order", action="store_true", dest="parts_by_order",
+            help="pin part X to the first half of the declared vertices (hall only)",
+        )
+        p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("hafnian", parents=[guarded], help="hafnian of a matrix or graph adjacency")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_hafnian)
+    if command in (None, "hafnian"):
+        p = sub.add_parser("hafnian", parents=[guarded], help="hafnian of a matrix or graph adjacency")
+        p.add_argument("file")
+        p.set_defaults(handler=_cmd_hafnian)
 
-    p = sub.add_parser("permanent", parents=[guarded], help="permanent of a matrix or graph biadjacency")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_permanent)
+    if command in (None, "permanent"):
+        p = sub.add_parser("permanent", parents=[guarded], help="permanent of a matrix or graph biadjacency")
+        p.add_argument("file")
+        p.set_defaults(handler=_cmd_permanent)
 
-    p = sub.add_parser("merge", parents=[common], help="merge two graphs at vertex pairs")
-    p.add_argument("graph1")
-    p.add_argument("graph2")
-    p.add_argument("--pairs", required=True, help="comma-separated a:b pairs")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_merge)
+    if command in (None, "merge"):
+        p = sub.add_parser("merge", parents=[common], help="merge two graphs at vertex pairs")
+        p.add_argument("graph1")
+        p.add_argument("graph2")
+        p.add_argument("--pairs", required=True, help="comma-separated a:b pairs")
+        p.add_argument("-o", "--output")
+        p.set_defaults(handler=_cmd_merge)
 
-    p = sub.add_parser("synth", parents=[common], help="compile a graph into a setup plan")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output", help="write the plan document here")
-    p.add_argument("--dot", help="also write a DOT rendering of the graph")
-    p.set_defaults(handler=_cmd_synth)
+    if command in (None, "synth"):
+        p = sub.add_parser("synth", parents=[common], help="compile a graph into a setup plan")
+        p.add_argument("graph")
+        p.add_argument("-o", "--output", help="write the plan document here")
+        p.add_argument("--dot", help="also write a DOT rendering of the graph")
+        p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("unsynth", parents=[common], help="rebuild the graph of a setup plan")
-    p.add_argument("plan")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_unsynth)
+    if command in (None, "unsynth"):
+        p = sub.add_parser("unsynth", parents=[common], help="rebuild the graph of a setup plan")
+        p.add_argument("plan")
+        p.add_argument("-o", "--output")
+        p.set_defaults(handler=_cmd_unsynth)
 
-    p = sub.add_parser("random", parents=[common], help="G(n,p) ensembles and matching statistics")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, action="append", required=True, help="repeatable probability value")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, the calling one included, capped at the core count")
-    p.add_argument("--csv", help="write (p, fraction, count, frequency) rows here")
-    p.set_defaults(handler=_cmd_random)
+    if command in (None, "random"):
+        p = sub.add_parser("random", parents=[common], help="G(n,p) ensembles and matching statistics")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=float, action="append", required=True, help="repeatable probability value")
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes, the calling one included, capped at the core count")
+        p.add_argument("--csv", help="write (p, fraction, count, frequency) rows here")
+        p.set_defaults(handler=_cmd_random)
 
-    p = sub.add_parser("dot", parents=[common], help="DOT export")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_dot)
+    if command in (None, "dot"):
+        p = sub.add_parser("dot", parents=[common], help="DOT export")
+        p.add_argument("graph")
+        p.set_defaults(handler=_cmd_dot)
 
+    if command is not None and command not in sub.choices:
+        return build_parser()  # an unknown command is reported with every choice
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A call that names its subcommand first needs only that subparser.
+    # Help, a missing or unknown command and a leading option get the full
+    # parser, and so do arguments that no subparser takes: that error shows
+    # the usage line of every subcommand.
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    args, extra = build_parser(command).parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)  # exits with the full parser's usage error
     try:
         payload, lines = args.handler(args)
         if args.format == "structured":

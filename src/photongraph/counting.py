@@ -119,7 +119,9 @@ def hafnian(matrix, *, override_limits: bool = False):
         memo[mask] = total
         return total
 
-    return _finite(rec, (1 << n) - 1) if n else 1
+    total = _finite(rec, (1 << n) - 1) if n else 1
+    rec = None  # the closure refers to itself; drop the cycle before returning
+    return total
 
 
 def _unit_matchings(keep: list[list[int]], start: int) -> int:

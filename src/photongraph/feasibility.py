@@ -88,6 +88,7 @@ def hall_check(
         visited = 0
         if not augment(x):
             unmatched.append(x)
+    augment = None  # the closure refers to itself; drop the cycle before returning
     if not unmatched:
         return _matching_edge_ids(g, ((x, y) for y, x in enumerate(match_of_y) if x >= 0))
 
@@ -142,9 +143,9 @@ def _find_pm_pairs(masks: list[int]) -> list[tuple[int, int]] | None:
         failed.add(matched)
         return False
 
-    if not rec(0):
-        return None
-    return pairs
+    found = rec(0)
+    rec = None  # the closure refers to itself; drop the cycle before returning
+    return pairs if found else None
 
 
 def _odd_components(masks: list[int], live: int) -> list[int]:

@@ -212,6 +212,7 @@ def max_disjoint_pms(
             chosen.pop()
 
     dfs(0, 0, [])
+    dfs = None  # the closure refers to itself; drop the cycle before returning
     return len(best), [tuple(map(ids.__getitem__, covers[i])) for i in best]
 
 
@@ -289,6 +290,7 @@ def scan_ghz_dimension(
 
     d = largest(pms[0], 1, every & ~clash[0])
     smallest(0, 0, every)
+    largest = smallest = None  # each refers to itself; drop the cycles before returning
     return d, _graph_from_pairs(n, [pq for k, pq in enumerate(pairs) if best_mask >> k & 1])
 
 
@@ -333,6 +335,7 @@ def enumerate_factorizations(
 
     if covers:
         rec(0, (1 << len(covers)) - 1, ())
+    rec = None  # the closure refers to itself; drop the cycle before returning
     return out
 
 

@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
+from typing import Iterator
 
 from .errors import DomainError, FullyFrustratedError, GraphParseError
 from .graph import Edge, ExperimentGraph, _Record, _expect, _float_value, _parse_json, vertex_names
@@ -219,6 +222,7 @@ def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple | None = 
         start = place(j, mode_j, *place(i, mode_i, *start))
         offset = mode_i * weight[i] + mode_j * weight[j]
     sums = {code + offset: amp for code, amp in solve(*start).items()}
+    solve = None  # the closure refers to itself; drop the cycle before returning
     memo.clear()
     return sums
 
@@ -367,6 +371,41 @@ def frustration_scan(
 # target-state search over small multigraphs
 # ---------------------------------------------------------------------------
 
+# A bucket of at most this many candidates is sorted by its string key; a
+# larger one is split on a label bit first.  Timed on the 11,025 candidates
+# of the 8-photon GHZ search and on as many random 60-bit masks: reaching
+# the 237th candidate costs the same for cut-offs from 64 to 512, while
+# ordering all of them costs about 4.5x the full sort at 16, 3.4x at 128 and
+# 2.6x at 512.  128 keeps a level of a few hundred candidates lazy.
+_SORTED_BUCKET = 128
+
+
+def _label_order(masks: list[int], key) -> Iterator[int]:
+    """Yield the distinct nonzero ``masks`` in the order of ``sorted(masks,
+    key=key)``, where ``key`` reads a mask's bits from the lowest, a set bit
+    before an unset one, so the first bit in which two masks differ decides
+    and a mask comes before the masks that extend it only above its top bit.
+    (Mask 0 has no such key: ``bin(0)`` is ``'0'``.)  Only the buckets a
+    caller reaches get sorted.
+
+    All masks of a bucket agree below its lowest differing bit b: the one
+    with no bit from b up (if any) comes first, then those holding b, then
+    the rest.  Only the bucket holding b is entered, and its masks share one
+    more set bit, so the depth is bounded by a mask's popcount."""
+    while len(masks) > _SORTED_BUCKET:
+        common = reduce(and_, masks)
+        diff = reduce(or_, masks) ^ common
+        b = diff & -diff
+        held = [m for m in masks if m & b]
+        masks = [m for m in masks if not m & b]
+        prefix = common & b - 1
+        if prefix in masks:
+            masks.remove(prefix)
+            yield prefix
+        yield from _label_order(held, key)
+    yield from sorted(masks, key=key)
+
+
 def search_graph_for_state(
     target: QuantumState,
     *,
@@ -390,9 +429,12 @@ def search_graph_for_state(
     count and, within one level, by canonical edge-set order (sorted label
     tuples), so the first hit is deterministic.  Each edge label
     (i, j, mode_i, mode_j) is one bit, so a candidate is an int bitmask
-    ordered exactly as its label tuple; the state kernel runs on its labels,
-    and only a candidate whose state matches becomes a graph, re-verified
-    with ``verify_target``.
+    ordered exactly as its label tuple.  A level's candidates are ordered
+    lazily, split on one label bit at a time with only small buckets
+    sorted, so only the candidates the level reaches before its first hit
+    get ordered.  The state kernel runs on a candidate's labels, and only a
+    candidate whose state matches becomes a graph, re-verified with
+    ``verify_target``.
 
     A partial edge set is dropped when even the fewest edges the remaining
     kets still need cannot fit the budget: n/2 edges for one cover of a ket,
@@ -498,7 +540,8 @@ def search_graph_for_state(
                     candidates.add(new_union)
 
         extend(0, 0)
-        for mask in sorted(candidates, key=lambda m: bin(m)[:1:-1].translate(flip)):
+        extend = None  # the closure refers to itself; drop the cycle before returning
+        for mask in _label_order(list(candidates), lambda m: bin(m)[:1:-1].translate(flip)):
             key = [label for r, label in enumerate(labels) if mask >> r & 1]
             sums = _cover_sums([False] * n, [(*label, 1) for label in key], radix)
             if sums.keys() != want.keys():

@@ -351,6 +351,35 @@ def test_limit_override_on_every_guarded_subcommand():
         assert parser.parse_args(argv + ["--limit-override"]).limit_override
 
 
+def _subparsers(parser) -> dict:
+    (action,) = (a for a in parser._actions if a.dest == "command")
+    return action.choices
+
+
+def _outcome(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(_subparsers(build_parser())))
+def test_one_subparser_build_matches_the_full_build(capsys, name):
+    """``main`` builds only the subparser a call names: its help and its
+    usage errors read exactly as those of the full parser."""
+    single = _subparsers(build_parser(name))
+    assert list(single) == [name]
+    assert single[name].format_help() == _subparsers(build_parser())[name].format_help()
+    for argv in ([name], [name, "--help"], [name, "--no-such-option"], [name, "a", "b", "c", "d", "e"]):
+        assert _outcome(main, argv, capsys) == _outcome(build_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["no-such-command"], ["--format", "text", "dot", "g"],
+                                  ["dot", "g", "--bogus"], ["ghz-max", "g", "extra"]])
+def test_help_and_bad_commands_report_as_the_full_parser(capsys, argv):
+    assert _outcome(main, argv, capsys) == _outcome(build_parser().parse_args, argv, capsys)
+
+
 def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

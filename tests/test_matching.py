@@ -194,6 +194,44 @@ def test_enumeration_leaves_no_garbage_cycle():
             gc.enable()
 
 
+def _ghz(n: int, d: int) -> pg.QuantumState:
+    return pg.QuantumState({(m,) * n: 1.0 for m in range(d)})
+
+
+_C4 = ExperimentGraph(["x0", "x1", "y0", "y1"], [Edge("a", "x0", "y0"), Edge("b", "x0", "y1"),
+                                                  Edge("c", "x1", "y0"), Edge("d", "x1", "y1")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: pg.search_graph_for_state(_ghz(8, 2)), id="search-ghz8x2"),
+        pytest.param(lambda: pg.search_graph_for_state(_ghz(4, 3)), id="search-ghz4x3"),
+        pytest.param(lambda: pg.enumerate_factorizations(pg.complete_graph(8)), id="enumerate_factorizations"),
+        pytest.param(lambda: pg.max_disjoint_pms(pg.complete_graph(8)), id="max_disjoint_pms"),
+        pytest.param(lambda: pg.scan_ghz_dimension(8), id="scan_ghz_dimension"),
+        pytest.param(lambda: pg.tutte_check(pg.complete_graph(8)), id="tutte_check"),
+        pytest.param(lambda: pg.hall_check(_C4), id="hall_check"),
+        pytest.param(lambda: pg.hafnian(pg.complete_graph(8).adjacency()), id="hafnian"),
+        pytest.param(lambda: pg.state_from_graph(pg.complete_graph(8)), id="state_from_graph"),
+        pytest.param(lambda: pg.frustration_scan(k4_ghz(), "I", [0.0, 1.0]), id="frustration_scan"),
+    ],
+)
+def test_kernel_leaves_no_garbage_cycle(call):
+    """A kernel's recursive closures refer to themselves; each call drops
+    them before it returns, so nothing it built waits for the collector."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = call()
+        assert gc.collect() == 0
+        assert result is not None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize(
     "measured, edges, expected",
     [

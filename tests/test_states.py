@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph, QuantumState
+from photongraph.states import _SORTED_BUCKET, _label_order
 
 from fixt import double_edge, k4_ghz, layered6, w_state_target
 from oracles import brute_force_state, naive_search_graph_for_state
@@ -295,6 +296,32 @@ def test_search_negative_bound_is_a_domain_error(bound):
 def test_search_rejects_unreachable_modes():
     target = QuantumState({(9, 9): 1.0})
     assert pg.search_graph_for_state(target, max_mode=3) is None
+
+
+@st.composite
+def nested_unions(draw):
+    """Unions of base masks that each hold bits of their own byte, so one
+    union often extends another only above its top bit."""
+    bases = [draw(st.integers(1, 255)) << 8 * k for k in range(draw(st.integers(1, 9)))]
+    dropped = draw(st.sets(st.integers(1, (1 << len(bases)) - 1), max_size=40))
+    picks = set(range(1, 1 << len(bases))) - dropped
+    return {sum(b for k, b in enumerate(bases) if pick >> k & 1) for pick in picks}
+
+
+label_mask_sets = st.one_of(
+    st.sets(st.integers(1, (1 << 60) - 1), min_size=1, max_size=400),
+    nested_unions(),
+    st.sets(st.integers(1, (1 << 10) - 1), min_size=_SORTED_BUCKET - 3, max_size=_SORTED_BUCKET + 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_mask_sets)
+def test_label_order_is_the_sorted_order(masks):
+    """The search's lazy candidate order is the full sort by its key."""
+    flip = str.maketrans("01", "10")
+    key = lambda m: bin(m)[:1:-1].translate(flip)
+    assert list(_label_order(list(masks), key)) == sorted(masks, key=key)
 
 
 @st.composite
