@@ -12,8 +12,11 @@ state's sub-covers are listed once and shared by every path that reaches
 it.  A cover is a tuple of per-edge labels chosen by the caller:
 ``enumerate_pm`` passes the edge ids and gets its id tuples directly, the
 callers that build bitmasks pass edge indices.  The GHZ-dimension scan and
-the target search take the pairings of K_n from the same walk;
-1-factorizations are searched over bitsets of the candidate matchings.
+the target search take the pairings of K_n from the same walk.
+1-factorizations come from a second memoized walk over bitsets of those
+matchings, keyed by the mask of the edges already covered: what is left
+to choose depends only on that mask, so each used-set's remaining factors
+are listed once.
 
 Counting perfect matchings is #P-complete, so every operation here is an
 exact exponential algorithm behind an explicit scale guard.  The default
@@ -304,7 +307,12 @@ def enumerate_factorizations(
     the matchings that hold it and share no edge with those chosen, so each
     one appears exactly once, in enumeration order.  Sets of matchings are
     bitsets over the enumeration: per edge, those holding it (``holding``);
-    per matching, those sharing an edge with it (``clash``)."""
+    per matching, those sharing an edge with it (``clash``).  The matchings
+    still free to join (``avail``) are those sharing no edge with ``used``,
+    the mask of the edges already covered, so ``avail`` and all that is left
+    to choose depend only on ``used``: the walk is memoized on it, each
+    used-set's remaining factor tuples are listed once, in enumeration
+    order, and shared by every path that reaches it."""
     degrees = [g.degree(v) for v in g.vertices]
     if degrees and len(set(degrees)) != 1:
         raise DomainError("graph is not regular; a 1-factorization cannot exist")
@@ -313,30 +321,36 @@ def enumerate_factorizations(
 
     ids, need, ends = _cover_input(g, override_limits)
     covers = _covers(need, ends, range(len(ends)))
-    pms = [tuple(map(ids.__getitem__, cover)) for cover in covers]
+    if not ids:  # no edges: one empty factorization without vertices, none with
+        return [Factorization(())] * len(covers)
+    heads = [(tuple(map(ids.__getitem__, cover)),) for cover in covers]
     masks = [sum(1 << k for k in cover) for cover in covers]
-    full = (1 << len(ids)) - 1
     holding = [0] * len(ids)
     for i, cover in enumerate(covers):
         for k in cover:
             holding[k] |= 1 << i
     clash = [reduce(int.__or__, map(holding.__getitem__, cover), 0) for cover in covers]
-    out: list[Factorization] = []
+    memo: dict[int, list[tuple]] = {(1 << len(ids)) - 1: [()]}
 
-    def rec(used: int, avail: int, chosen: tuple[int, ...]):
-        if used == full:
-            out.append(Factorization(tuple(map(pms.__getitem__, chosen))))
-            return
+    def walk(used: int, avail: int) -> list[tuple]:
+        out: list[tuple] = []
         later = holding[(~used & (used + 1)).bit_length() - 1] & avail
         while later:
             i = (later & -later).bit_length() - 1
             later &= later - 1
-            rec(used | masks[i], avail & ~clash[i], chosen + (i,))
+            sub = used | masks[i]
+            found = memo.get(sub)
+            if found is None:
+                found = walk(sub, avail & ~clash[i])
+            if found:
+                out += map(heads[i].__add__, found)
+        memo[used] = out
+        return out
 
-    if covers:
-        rec(0, (1 << len(covers)) - 1, ())
-    rec = None  # the closure refers to itself; drop the cycle before returning
-    return out
+    out = walk(0, (1 << len(covers)) - 1)
+    walk = None  # the closure refers to itself; drop the cycle before returning
+    memo.clear()  # frees the sub-lists before the records are made
+    return list(map(Factorization, out))
 
 
 def classify_layers(g: ExperimentGraph, *, override_limits: bool = False) -> LayerReport:

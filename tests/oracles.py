@@ -45,6 +45,27 @@ def max_disjoint_covers(g: ExperimentGraph) -> int:
     return grow(0, set())
 
 
+def naive_factorizations(g: ExperimentGraph) -> list[tuple[tuple[str, ...], ...]]:
+    """Every set of pairwise edge-disjoint brute-force covers whose union is
+    the whole edge set of a graph with edges, each as its covers in sorted
+    order, the list sorted.  Families are grown one later cover at a time
+    from every cover, with no rule on which edge a family must cover next."""
+    covers = brute_force_covers(g)
+    edges = {e.id for e in g.edges}
+    found = []
+
+    def grow(start: int, family: tuple[int, ...], used: set):
+        if used == edges:
+            found.append(tuple(covers[k] for k in family))
+            return
+        for k in range(start, len(covers)):
+            if not used.intersection(covers[k]):
+                grow(k + 1, family + (k,), used.union(covers[k]))
+
+    grow(0, (), set())
+    return sorted(found)
+
+
 def brute_force_state(g: ExperimentGraph) -> dict[tuple[int, ...], complex]:
     """Unpruned, unnormalized state: every brute-force cover whose measured
     vertices see one mode from both edges adds its amplitude product to the

@@ -109,6 +109,45 @@ def test_hafnian_matches_oracle_on_multigraphs(m):
     assert pg.hafnian(m) == naive_hafnian(m)
 
 
+@st.composite
+def relabelled_symmetric_matrices(draw):
+    """An integer symmetric matrix of even order <= 14 with a zero diagonal,
+    past the naive oracle's reach, and P A P^T for a random permutation P."""
+    n = 2 * draw(st.integers(min_value=0, max_value=7))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.integers(min_value=-3, max_value=3))
+    p = draw(st.permutations(range(n)))
+    return m, [[m[i][j] for j in p] for i in p]
+
+
+@given(relabelled_symmetric_matrices())
+@settings(max_examples=60, deadline=None)
+def test_hafnian_is_invariant_under_relabelling(pair):
+    m, relabelled = pair
+    assert pg.hafnian(relabelled) == pg.hafnian(m)
+
+
+@st.composite
+def permuted_square_matrices(draw):
+    """An integer square matrix of order <= 12 and P A Q for random
+    permutations P and Q."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    m = draw(st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    p = draw(st.permutations(range(n)))
+    q = draw(st.permutations(range(n)))
+    return m, [[m[i][j] for j in q] for i in p]
+
+
+@given(permuted_square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_permanent_is_invariant_under_row_and_column_permutations(pair):
+    m, permuted = pair
+    assert pg.permanent(permuted) == pg.permanent(m)
+
+
 def test_hafnian_result_types():
     k4 = pg.complete_graph(4).adjacency()
     for entry, expected in ((1, 3), (1.0, 3.0), (True, 3), (2, 12)):

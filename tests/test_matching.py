@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 from itertools import combinations
 
@@ -14,7 +15,7 @@ import photongraph as pg
 from photongraph import Edge, ExperimentGraph
 
 from fixt import cycle_graph, four_layer6, k4_ghz, k6_factored, layered6, path_graph
-from oracles import brute_force_covers, max_disjoint_covers, naive_ghz_family
+from oracles import brute_force_covers, max_disjoint_covers, naive_factorizations, naive_ghz_family
 
 
 def test_k4_has_three_matchings():
@@ -340,6 +341,105 @@ def test_factorizations_partition_properties():
 def test_factorizations_reject_irregular():
     with pytest.raises(pg.DomainError):
         pg.enumerate_factorizations(path_graph(4))
+
+
+def _from_pairs(n: int, pairs) -> ExperimentGraph:
+    names = pg.vertex_names(n)
+    return ExperimentGraph(names, [Edge(f"e{k}", names[i], names[j]) for k, (i, j) in enumerate(pairs)])
+
+
+def _complete_bipartite(a: int) -> ExperimentGraph:
+    return _from_pairs(2 * a, [(i, a + j) for i in range(a) for j in range(a)])
+
+
+def _circulant(n: int, steps) -> ExperimentGraph:
+    return _from_pairs(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
+
+
+def _doubled(g: ExperimentGraph) -> ExperimentGraph:
+    return ExperimentGraph(g.vertices, [Edge(f"{e.id}{c}", e.u, e.v) for e in g.edges for c in "ab"])
+
+
+def _disjoint_union(g: ExperimentGraph, h: ExperimentGraph) -> ExperimentGraph:
+    return ExperimentGraph(
+        [f"g{v}" for v in g.vertices] + [f"h{v}" for v in h.vertices],
+        [Edge(f"g{e.id}", f"g{e.u}", f"g{e.v}") for e in g.edges]
+        + [Edge(f"h{e.id}", f"h{e.u}", f"h{e.v}") for e in h.edges],
+    )
+
+
+def _shuffled(g: ExperimentGraph, seed: int) -> ExperimentGraph:
+    """The same graph with its vertices declared in another order, its edges
+    renamed by a random permutation, listed in another order and each given
+    from either end."""
+    rng = random.Random(seed)
+    order = list(g.vertices)
+    rng.shuffle(order)
+    names = [f"c{k}" for k in range(len(g.edges))]
+    rng.shuffle(names)
+    edges = [Edge(name, *((e.v, e.u) if rng.random() < 0.5 else (e.u, e.v))) for name, e in zip(names, g.edges)]
+    rng.shuffle(edges)
+    return ExperimentGraph(order, edges)
+
+
+_REGULAR = {
+    "K4": lambda: pg.complete_graph(4),
+    "K6": lambda: pg.complete_graph(6),
+    "K33": lambda: _complete_bipartite(3),
+    "K44": lambda: _complete_bipartite(4),
+    "C6": lambda: cycle_graph(6),
+    "C8": lambda: cycle_graph(8),
+    "K4x2": lambda: _doubled(pg.complete_graph(4)),
+    "C8(1,2)": lambda: _circulant(8, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", sorted(_REGULAR))
+def test_factorizations_match_the_naive_oracle(name, seed):
+    """The whole list, in order (sorted by factor tuples), equals the
+    oracle's on small regular multigraphs, also with shuffled edge ids and
+    declaration order."""
+    g = _REGULAR[name]()
+    if seed is not None:
+        g = _shuffled(g, seed)
+    expected = naive_factorizations(g)
+    assert expected
+    assert [fz.factors for fz in pg.enumerate_factorizations(g)] == expected
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        pytest.param(pg.complete_graph(8), 6240, id="K8"),
+        # Latin squares of order n over n!: L(4) = 576, L(5) = 161280
+        pytest.param(_complete_bipartite(4), 24, id="K44"),
+        pytest.param(_complete_bipartite(5), 1344, id="K55"),
+    ],
+)
+def test_factorization_counts_closed_forms(g, expected):
+    assert len(pg.enumerate_factorizations(g)) == expected
+
+
+@pytest.mark.parametrize(
+    "g, h, k, expected",
+    [
+        pytest.param(pg.complete_graph(4), _complete_bipartite(3), 3, 12, id="K4+K33"),
+        pytest.param(pg.complete_graph(6), pg.complete_graph(6), 5, 4320, id="K6+K6"),
+        pytest.param(_complete_bipartite(4), _complete_bipartite(4), 4, 13824, id="K44+K44"),
+    ],
+)
+def test_factorizations_of_a_disjoint_union_multiply(g, h, k, expected):
+    """For k-regular G and H, a 1-factorization of G + H pairs the k factors
+    of one of G with those of one of H: |F(G + H)| = |F(G)| |F(H)| k!."""
+    count = len(pg.enumerate_factorizations(_disjoint_union(g, h)))
+    assert count == len(pg.enumerate_factorizations(g)) * len(pg.enumerate_factorizations(h)) * math.factorial(k)
+    assert count == expected
+
+
+def test_factorizations_without_edges():
+    assert pg.enumerate_factorizations(ExperimentGraph([], [])) == [pg.Factorization(())]
+    assert pg.enumerate_factorizations(ExperimentGraph(["a", "b"], [])) == []
 
 
 def test_classify_layers_fig_fixture():
