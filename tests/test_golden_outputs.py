@@ -1,5 +1,5 @@
 """Golden outputs of the combinatorial searches, the GHZ-dimension scan, the
-G(n, p) ensemble and the command-line front end.
+G(n, p) ensemble and the command-line front end, its help texts included.
 
 The Tutte matching search, the disjoint-matching search, the factorization
 enumerator and the target-state search each return the first answer they
@@ -14,10 +14,13 @@ import cmath
 import hashlib
 import math
 import random
+import sys
+
+import pytest
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph, QuantumState, vertex_names
-from photongraph.cli import main
+from photongraph.cli import build_parser, main
 
 from fixt import double_edge, hall_fixture, k4_ghz, k6_factored, layered6, spider, w_state_target
 
@@ -403,3 +406,34 @@ def test_matchability_outputs_golden():
     for g in _barrier_graphs():
         digest.update(repr(_outcome(pg.tutte_check, g)).encode())
     assert digest.hexdigest() == MATCHABILITY_GOLDEN_SHA256
+
+
+# argparse words and wraps help differently from one Python version to the next
+CLI_HELP_GOLDEN_SHA256 = {
+    (3, 10): "2e071fb91b549b8b6fb0f72b75a515390d738c38f86c58b76e1b1ed711f16666",
+    (3, 11): "2e071fb91b549b8b6fb0f72b75a515390d738c38f86c58b76e1b1ed711f16666",
+    (3, 12): "2e071fb91b549b8b6fb0f72b75a515390d738c38f86c58b76e1b1ed711f16666",
+    (3, 13): "315d2cfb6f51322267b846b726756a0df917e320eaf25a4202b472c5af9bd613",
+}
+
+CLI_COMMANDS = (
+    "matchings", "count", "state", "verify", "search", "frustrate", "ghz-max", "factorize", "layers",
+    "check", "hafnian", "permanent", "merge", "synth", "unsynth", "random", "dot",
+)
+
+
+def test_cli_help_golden(monkeypatch):
+    """The full parser's help, each of its subparsers' help and the usage of
+    each one-subcommand build, at a fixed terminal width.  A slip in the
+    subcommand declarations that changes both builds alike fails here."""
+    if sys.version_info[:2] not in CLI_HELP_GOLDEN_SHA256:
+        pytest.skip("no help digest recorded for this Python version")
+    monkeypatch.setenv("COLUMNS", "100")
+    parser = build_parser()
+    (action,) = (a for a in parser._actions if a.dest == "command")
+    assert tuple(action.choices) == CLI_COMMANDS
+    digest = hashlib.sha256(parser.format_help().encode())
+    for name, sub in action.choices.items():
+        digest.update(sub.format_help().encode())
+        digest.update(build_parser(name).format_usage().encode())
+    assert digest.hexdigest() == CLI_HELP_GOLDEN_SHA256[sys.version_info[:2]]
