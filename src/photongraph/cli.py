@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 scale-limit refusal.
+Exit codes: 0 success, 1 domain error, 2 usage error, 3 scale-limit refusal
+or an input too large for this machine's memory (``out-of-memory``).
 Errors print one line ``error: <reason-code>: <message>`` on stderr.
 ``--format structured`` switches every subcommand to JSON output: each
 handler returns a structured payload and text lines, and ``main`` prints one.
@@ -331,142 +332,94 @@ def _phase_list(text: str) -> list[float]:
     return phases
 
 
+def _arg(*flags, **keywords):
+    """One ``add_argument`` call, kept for ``build_parser`` to make."""
+    return flags, keywords
+
+
+# Each subcommand in help order: its handler, the parent parser whose options
+# it shares (``guarded`` adds ``--limit-override`` to ``common``'s), its help
+# and its arguments.
+_COMMANDS = {
+    "matchings": (_cmd_matchings, "guarded", "enumerate perfect matchings", [_arg("graph")]),
+    "count": (_cmd_count, "guarded", "count matchings by enumeration and matrix kernels", [_arg("graph")]),
+    "state": (_cmd_state, "guarded", "post-selected state of a graph", [
+        _arg("graph"),
+        _arg("--normalize", action="store_true"),
+    ]),
+    "verify": (_cmd_verify, "guarded", "compare a graph's state against a target", [_arg("graph"), _arg("state")]),
+    "search": (_cmd_search, "common", "search small multigraphs for a target state", [
+        _arg("state"),
+        _arg("--max-edges", type=int, default=8),
+        _arg("--max-mode", type=int, default=3),
+        _arg("--max-parallel", type=int, default=4),
+    ]),
+    "frustrate": (_cmd_frustrate, "guarded", "sweep one edge's phase, report intensity", [
+        _arg("graph"),
+        _arg("edge"),
+        _arg("--phases", type=_phase_list, required=True,
+             help="comma-separated radians; write --phases=-1,2 when the list starts with a negative number"),
+    ]),
+    "ghz-max": (_cmd_ghz_max, "guarded", "largest set of pairwise disjoint matchings", [_arg("graph")]),
+    "factorize": (_cmd_factorize, "guarded", "enumerate 1-factorizations", [_arg("graph")]),
+    "layers": (_cmd_layers, "guarded", "split matchings into layer and maverick terms", [_arg("graph")]),
+    "check": (_cmd_check, "common", "matchability with constructive witnesses", [
+        _arg("criterion", choices=("hall", "tutte")),
+        _arg("graph"),
+        _arg("--parts-by-order", action="store_true",
+             help="pin part X to the first half of the declared vertices (hall only)"),
+    ]),
+    "hafnian": (_cmd_hafnian, "guarded", "hafnian of a matrix or graph adjacency", [_arg("file")]),
+    "permanent": (_cmd_permanent, "guarded", "permanent of a matrix or graph biadjacency", [_arg("file")]),
+    "merge": (_cmd_merge, "common", "merge two graphs at vertex pairs", [
+        _arg("graph1"),
+        _arg("graph2"),
+        _arg("--pairs", required=True, help="comma-separated a:b pairs"),
+        _arg("-o", "--output"),
+    ]),
+    "synth": (_cmd_synth, "common", "compile a graph into a setup plan", [
+        _arg("graph"),
+        _arg("-o", "--output", help="write the plan document here"),
+        _arg("--dot", help="also write a DOT rendering of the graph"),
+    ]),
+    "unsynth": (_cmd_unsynth, "common", "rebuild the graph of a setup plan", [_arg("plan"), _arg("-o", "--output")]),
+    "random": (_cmd_random, "common", "G(n,p) ensembles and matching statistics", [
+        _arg("--n", type=int, required=True),
+        _arg("--p", type=float, action="append", required=True, help="repeatable probability value"),
+        _arg("--trials", type=int, required=True),
+        _arg("--seed", type=int, required=True),
+        _arg("--threads", type=int, default=1,
+             help="worker processes, the calling one included, capped at the core count"),
+        _arg("--csv", help="write (p, fraction, count, frequency) rows here"),
+    ]),
+    "dot": (_cmd_dot, "common", "DOT export", [_arg("graph")]),
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand; with a known ``command``, a parser
     with that subparser alone, which parses and reports a call of it as the
-    full parser does, less the cost of building the other subparsers."""
+    full parser does, less the cost of building the others.  An unknown
+    command gets them all, so its error lists every choice."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "structured"), default="text",
-        help="output format (structured = JSON)",
-    )
-    # the subcommands whose kernels have a scale guard
+    common.add_argument("--format", choices=("text", "structured"), default="text",
+                        help="output format (structured = JSON)")
     guarded = argparse.ArgumentParser(add_help=False, parents=[common])
-    guarded.add_argument(
-        "--limit-override", action="store_true", dest="limit_override",
-        help="bypass the scale guards of the exact algorithms",
-    )
+    guarded.add_argument("--limit-override", action="store_true",
+                         help="bypass the scale guards of the exact algorithms")
+    parents = {"common": common, "guarded": guarded}
 
     parser = argparse.ArgumentParser(
         prog="photongraph",
         description="Pair-source experiments as multigraphs: matchings, states, counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    if command in (None, "matchings"):
-        p = sub.add_parser("matchings", parents=[guarded], help="enumerate perfect matchings")
-        p.add_argument("graph")
-        p.set_defaults(handler=_cmd_matchings)
-
-    if command in (None, "count"):
-        p = sub.add_parser("count", parents=[guarded], help="count matchings by enumeration and matrix kernels")
-        p.add_argument("graph")
-        p.set_defaults(handler=_cmd_count)
-
-    if command in (None, "state"):
-        p = sub.add_parser("state", parents=[guarded], help="post-selected state of a graph")
-        p.add_argument("graph")
-        p.add_argument("--normalize", action="store_true")
-        p.set_defaults(handler=_cmd_state)
-
-    if command in (None, "verify"):
-        p = sub.add_parser("verify", parents=[guarded], help="compare a graph's state against a target")
-        p.add_argument("graph")
-        p.add_argument("state")
-        p.set_defaults(handler=_cmd_verify)
-
-    if command in (None, "search"):
-        p = sub.add_parser("search", parents=[common], help="search small multigraphs for a target state")
-        p.add_argument("state")
-        p.add_argument("--max-edges", type=int, default=8)
-        p.add_argument("--max-mode", type=int, default=3)
-        p.add_argument("--max-parallel", type=int, default=4)
-        p.set_defaults(handler=_cmd_search)
-
-    if command in (None, "frustrate"):
-        p = sub.add_parser("frustrate", parents=[guarded], help="sweep one edge's phase, report intensity")
-        p.add_argument("graph")
-        p.add_argument("edge")
-        p.add_argument(
-            "--phases", type=_phase_list, required=True,
-            help="comma-separated radians; write --phases=-1,2 when the list starts with a negative number",
-        )
-        p.set_defaults(handler=_cmd_frustrate)
-
-    if command in (None, "ghz-max"):
-        p = sub.add_parser("ghz-max", parents=[guarded], help="largest set of pairwise disjoint matchings")
-        p.add_argument("graph")
-        p.set_defaults(handler=_cmd_ghz_max)
-
-    if command in (None, "factorize"):
-        p = sub.add_parser("factorize", parents=[guarded], help="enumerate 1-factorizations")
-        p.add_argument("graph")
-        p.set_defaults(handler=_cmd_factorize)
-
-    if command in (None, "layers"):
-        p = sub.add_parser("layers", parents=[guarded], help="split matchings into layer and maverick terms")
-        p.add_argument("graph")
-        p.set_defaults(handler=_cmd_layers)
-
-    if command in (None, "check"):
-        p = sub.add_parser("check", parents=[common], help="matchability with constructive witnesses")
-        p.add_argument("criterion", choices=("hall", "tutte"))
-        p.add_argument("graph")
-        p.add_argument(
-            "--parts-by-order", action="store_true", dest="parts_by_order",
-            help="pin part X to the first half of the declared vertices (hall only)",
-        )
-        p.set_defaults(handler=_cmd_check)
-
-    if command in (None, "hafnian"):
-        p = sub.add_parser("hafnian", parents=[guarded], help="hafnian of a matrix or graph adjacency")
-        p.add_argument("file")
-        p.set_defaults(handler=_cmd_hafnian)
-
-    if command in (None, "permanent"):
-        p = sub.add_parser("permanent", parents=[guarded], help="permanent of a matrix or graph biadjacency")
-        p.add_argument("file")
-        p.set_defaults(handler=_cmd_permanent)
-
-    if command in (None, "merge"):
-        p = sub.add_parser("merge", parents=[common], help="merge two graphs at vertex pairs")
-        p.add_argument("graph1")
-        p.add_argument("graph2")
-        p.add_argument("--pairs", required=True, help="comma-separated a:b pairs")
-        p.add_argument("-o", "--output")
-        p.set_defaults(handler=_cmd_merge)
-
-    if command in (None, "synth"):
-        p = sub.add_parser("synth", parents=[common], help="compile a graph into a setup plan")
-        p.add_argument("graph")
-        p.add_argument("-o", "--output", help="write the plan document here")
-        p.add_argument("--dot", help="also write a DOT rendering of the graph")
-        p.set_defaults(handler=_cmd_synth)
-
-    if command in (None, "unsynth"):
-        p = sub.add_parser("unsynth", parents=[common], help="rebuild the graph of a setup plan")
-        p.add_argument("plan")
-        p.add_argument("-o", "--output")
-        p.set_defaults(handler=_cmd_unsynth)
-
-    if command in (None, "random"):
-        p = sub.add_parser("random", parents=[common], help="G(n,p) ensembles and matching statistics")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--p", type=float, action="append", required=True, help="repeatable probability value")
-        p.add_argument("--trials", type=int, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes, the calling one included, capped at the core count")
-        p.add_argument("--csv", help="write (p, fraction, count, frequency) rows here")
-        p.set_defaults(handler=_cmd_random)
-
-    if command in (None, "dot"):
-        p = sub.add_parser("dot", parents=[common], help="DOT export")
-        p.add_argument("graph")
-        p.set_defaults(handler=_cmd_dot)
-
-    if command is not None and command not in sub.choices:
-        return build_parser()  # an unknown command is reported with every choice
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        handler, parent, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[parents[parent]], help=help_text)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -497,6 +450,9 @@ def main(argv=None) -> int:
         return 1
     except ScaleLimitError as exc:
         print(f"error: {exc.reason}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out-of-memory: {str(exc) or 'the exact answer does not fit in memory'}", file=sys.stderr)
         return 3
     except PhotonGraphError as exc:
         print(f"error: {exc.reason}: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,20 @@ def test_exit_code_scale_limit(capsys, tmp_path):
     assert code == 3
     assert err.startswith("error: scale-limit:")
     assert main(["count", str(big), "--limit-override"]) == 0
+
+
+def test_memory_error_is_one_out_of_memory_line(capsys, monkeypatch, k4_file):
+    """A call the guards admit can still need more memory than the machine
+    has: it ends as a refusal does, on one line and with exit 3."""
+    def enumerate_pm(g, override_limits=False):
+        raise MemoryError
+
+    monkeypatch.setattr("photongraph.cli.matching", types.SimpleNamespace(enumerate_pm=enumerate_pm), raising=False)
+    code = main(["matchings", k4_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: out-of-memory: ") and captured.err.count("\n") == 1
 
 
 def test_limit_override_is_a_usage_error_where_nothing_is_guarded(capsys, k4_file):

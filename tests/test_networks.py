@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -27,17 +28,49 @@ def test_endpoints_are_exact():
     assert reports[1].pm_count_histogram == {pg.count_pm_formula(3): 200}
 
 
-def _exact_pm_probability(n: int, p: float) -> float:
+@functools.lru_cache(maxsize=None)
+def _pm_count_table(n: int) -> dict[int, list[int]]:
+    """For each perfect-matching count of a graph on n vertices, how many of
+    the graphs with k edges have it, for k = 0..m with m = n(n-1)/2: a count
+    has probability sum_k table[count][k]·p^k·(1-p)^(m-k) in G(n, p)."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_pos = {pq: k for k, pq in enumerate(pairs)}
-    masks = pairing_masks(n, pair_pos)
-    total = 0.0
-    m = len(pairs)
-    for sub in range(1 << m):
-        if any(mask & sub == mask for mask in masks):
-            k = sub.bit_count()
-            total += p**k * (1 - p) ** (m - k)
-    return total
+    masks = pairing_masks(n, {pq: k for k, pq in enumerate(pairs)})
+    table = {}
+    for sub in range(1 << len(pairs)):
+        count = sum(mask & sub == mask for mask in masks)
+        table.setdefault(count, [0] * (len(pairs) + 1))[sub.bit_count()] += 1
+    return table
+
+
+def _exact_pm_distribution(n: int, p: float) -> dict[int, float]:
+    return {
+        count: sum(graphs * p**k * (1 - p) ** (len(row) - 1 - k) for k, graphs in enumerate(row))
+        for count, row in _pm_count_table(n).items()
+    }
+
+
+def _exact_pm_probability(n: int, p: float) -> float:
+    return sum(prob for count, prob in _exact_pm_distribution(n, p).items() if count)
+
+
+def _binomial_interval(trials: int, prob: float, alpha: float) -> tuple[int, int]:
+    """The central interval [lo, hi] of Binomial(trials, prob): the mass
+    below lo and the mass above hi are each at most alpha / 2, summed from
+    the exact pmf."""
+    pmf = [
+        math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                 + k * math.log(prob) + (trials - k) * math.log1p(-prob))
+        for k in range(trials + 1)
+    ]
+    lo, below = 0, 0.0
+    while below + pmf[lo] <= alpha / 2:
+        below += pmf[lo]
+        lo += 1
+    hi, above = trials, 0.0
+    while above + pmf[hi] <= alpha / 2:
+        above += pmf[hi]
+        hi -= 1
+    return lo, hi
 
 
 def test_fraction_matches_exact_probability():
@@ -47,6 +80,81 @@ def test_fraction_matches_exact_probability():
     exact = _exact_pm_probability(6, p)
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(report.pm_exists_fraction - exact) <= 3 * sigma
+
+
+def test_count_histograms_match_the_exact_distribution():
+    """Seeded count histograms at n = 6 against the exact distribution of the
+    perfect-matching count over all 2^15 graphs on 6 vertices.
+
+    At each p, a count whose expected frequency T·P is at least 10 is its own
+    bucket, and the other counts are pooled into one.  Over T independent
+    trials a bucket's frequency is Binomial(T, P), so it leaves its central
+    interval of mass 1 - alpha with probability at most alpha.  With
+    alpha = 1e-4 / (buckets checked), a union bound puts the chance that a
+    correct sampler fails this test at 1e-4 or less.  A count of probability
+    zero must not occur at all."""
+    trials, ps = 3000, [0.3, 0.5, 0.7]
+    checks = []
+    for p, report in zip(ps, pg.ensemble_scan(6, ps, trials, 6)):
+        exact = _exact_pm_distribution(6, p)
+        observed = report.pm_count_histogram
+        assert all(exact.get(count, 0.0) > 0 for count in observed)
+        big = [count for count, prob in exact.items() if trials * prob >= 10]
+        checks += [(p, count, observed.get(count, 0), exact[count]) for count in big]
+        rest = [count for count in exact if count not in big]
+        if rest:
+            pooled = sum(observed.get(count, 0) for count in rest), sum(exact[count] for count in rest)
+            checks.append((p, "pooled", *pooled))
+    alpha = 1e-4 / len(checks)
+    outside = []
+    for p, bucket, frequency, prob in checks:
+        lo, hi = _binomial_interval(trials, prob, alpha)
+        if not lo <= frequency <= hi:
+            outside.append((p, bucket, frequency, (lo, hi)))
+    assert not outside
+
+
+def test_mean_count_on_twelve_vertices_matches_the_exact_moments():
+    """The sample mean of the perfect-matching count of G(12, p) against
+    E = N·p^6, N = 11!! = 10395, within 5 standard errors.
+
+    The count is the sum over the N matchings M of K12 of [M in G], so
+    E[X^2] = sum over pairs (M, M') of p^|M u M'| = N·sum_k c_k·p^(12-k),
+    where c_k counts the matchings sharing k edges with a fixed one (the
+    same for every M by symmetry), and Var X = E[X^2] - E^2.  The mean of T
+    independent trials has standard error sqrt(Var X / T).  By the central
+    limit theorem it is near normal at T = 10000, and a normal leaves 5
+    standard errors with probability 5.7e-7; Chebyshev's bound, which holds
+    whatever the shape, is 1/25 per p."""
+    n, trials, ps = 12, 10000, [0.3, 0.5, 0.7]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    masks = pairing_masks(n, {pq: k for k, pq in enumerate(pairs)})
+    shared = Counter((mask & masks[0]).bit_count() for mask in masks)
+    matchings = len(masks)
+    assert matchings == 10395
+    for p, report in zip(ps, pg.ensemble_scan(n, ps, trials, 12)):
+        mean = matchings * p ** (n // 2)
+        variance = matchings * sum(c * p ** (n - k) for k, c in shared.items()) - mean**2
+        sample_mean = sum(count * freq for count, freq in report.pm_count_histogram.items()) / trials
+        assert abs(sample_mean - mean) <= 5 * math.sqrt(variance / trials), p
+
+
+@given(
+    n=st.integers(min_value=1, max_value=8).map(lambda half: 2 * half),
+    seed=st.integers(min_value=0, max_value=2**32),
+    trial=st.integers(min_value=0, max_value=10**6),
+    ps=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6).map(sorted),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_trial_never_counts_fewer_matchings_at_a_higher_p(n, seed, trial, ps):
+    # a trial's graphs are nested as p grows, so each keeps the matchings
+    # of the graphs below it
+    from photongraph.networks import _count_range
+
+    histograms = _count_range(n, ps, seed, trial, trial + 1)
+    counts = [count for histogram in histograms for count in histogram.elements()]
+    assert len(counts) == len(ps)
+    assert counts == sorted(counts)
 
 
 def test_reports_are_deterministic():
