@@ -137,14 +137,13 @@ def _unit_matchings(keep: list[list[int]], start: int) -> int:
     of uncovered vertices, one pair at a time, and adds the set's ways,
     masked to the graphs that hold the pair, into the set left over; a pair
     that no graph with ways into the set holds is skipped, so the live sets
-    are those of the union graph that some graph reaches.  At the last
-    level each live set holds two vertices, which match in the graphs that
-    join them."""
+    are those of the union graph that some graph reaches.  After n / 2
+    levels only the empty set is left, holding the counts."""
     n = len(keep)
     bits = [1 << j for j in range(n)]
     pairs = [list(compress(zip(bits, row), row)) for row in keep]  # a pair j <= i never meets rest
     level = {(1 << n) - 1: start}
-    for _ in range(n // 2 - 1):
+    for _ in range(n // 2):
         following: dict[int, int] = {}
         get = following.get
         for live, ways in level.items():
@@ -157,11 +156,7 @@ def _unit_matchings(keep: list[list[int]], start: int) -> int:
                         left = rest ^ bit
                         following[left] = get(left, 0) + kept
         level = following
-    total = 0
-    for live, ways in level.items():
-        low = live & -live
-        total += ways & keep[low.bit_length() - 1][(live ^ low).bit_length() - 1]
-    return total
+    return level.get(0, 0)
 
 
 def permanent(matrix, *, override_limits: bool = False):

@@ -86,22 +86,22 @@ def _check_scale(g: ExperimentGraph, override_limits: bool):
 def _covers(need: list[int], ends: list[tuple[int, int]], labels) -> list[tuple]:
     """Every edge subset meeting each vertex v exactly ``need[v]`` (1 or 2)
     times, as sorted tuples of the edges' ``labels``, in sorted order;
-    ``ends`` holds the edges as vertex index pairs.
+    ``ends`` holds the edges as vertex index pairs (a, b) with a < b.
 
     Each step covers the lowest vertex with need left completely, by one edge
     or an unordered pair of its free edges, so every cover is produced once:
-    an edge to a covered vertex is never free again.  What is left to cover
-    depends only on which vertices still need an edge and which of them need
-    two, so the walk is memoized on that state, one int: the mask of the
-    vertices in need in its low n bits and, above them, the mask of those
-    needing two (zero when no vertex is measured).  Each state's sub-covers
-    are listed once, as label tuples in walk order, and shared by every path
-    that reaches the state; each whole cover is sorted once at the end."""
+    an edge to a covered vertex is never free again, so each edge is listed
+    at its lower end a only.  What is left to cover depends only on which
+    vertices still need an edge and which of them need two, so the walk is
+    memoized on that state, one int: the mask of the vertices in need in its
+    low n bits and, above them, the mask of those needing two (zero when no
+    vertex is measured).  Each state's sub-covers are listed once, as label
+    tuples in walk order, and shared by every path that reaches the state;
+    each whole cover is sorted once at the end."""
     n = len(need)
     incident: list[list[tuple[tuple, int, int]]] = [[] for _ in need]
     for (a, b), label in zip(ends, labels):
         incident[a].append(((label,), 1 << b, 1 << n + b))
-        incident[b].append(((label,), 1 << a, 1 << n + a))
     memo: dict[int, list[tuple]] = {0: [()]}
 
     def walk(state: int) -> list[tuple]:
@@ -330,7 +330,8 @@ def enumerate_factorizations(
         for k in cover:
             holding[k] |= 1 << i
     clash = [reduce(int.__or__, map(holding.__getitem__, cover), 0) for cover in covers]
-    memo: dict[int, list[tuple]] = {(1 << len(ids)) - 1: [()]}
+    full = (1 << len(ids)) - 1
+    memo: dict[int, list[tuple]] = {full: [()]}
 
     def walk(used: int, avail: int) -> list[tuple]:
         out: list[tuple] = []
@@ -344,6 +345,8 @@ def enumerate_factorizations(
                 found = walk(sub, avail & ~clash[i])
             if found:
                 out += map(heads[i].__add__, found)
+            if not used and sub != full:  # only the root reaches a one-matching used-set
+                del memo[sub]
         memo[used] = out
         return out
 

@@ -9,9 +9,11 @@ order.
 
 One kernel computes these sums: a memoized dynamic program over the
 vertices still to be covered that returns, per ket, the summed amplitude of
-all covers, without enumerating them (``_cover_sums``).  States,
-verification, frustration scans and the network terms are built on it;
-explicit matchings are listed by :mod:`photongraph.matching`.
+all covers, without enumerating them (``_cover_sums``).  Like the cover
+walk that lists explicit matchings in :mod:`photongraph.matching`, it keys
+its memo on one int of what is left to cover and lists each edge at its
+lower end only.  States, verification, frustration scans and the network
+terms are built on it.
 
 A graph's whole-graph cover sums are computed once, kept on the graph and
 dropped with it (graphs are immutable).  ``state_from_graph``,
@@ -133,29 +135,25 @@ def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple | None = 
 
     A ket is coded as the integer sum of mode * radix**(k - 1 - slot) over
     its k slots, so joining two partial kets is an addition and integer order
-    is ket order.  The DP state is the set of vertices with need left (one
-    incidence per plain vertex, two per measured one), the measured vertices
-    that are half covered, and the first mode each of those received.  Each
-    step covers the lowest vertex with need completely: one edge for need 1;
-    an unordered pair of edges with equal modes there for a measured vertex
-    with need 2, so every cover is counted once.  Edges to lower vertices are
-    never candidates, since those are covered already.
+    is ket order.  The DP state is one int laid out as in ``_covers``: the
+    vertices with need left (one incidence per plain vertex, two per measured
+    one) in its low n bits, those needing two above them, and above those one
+    field per vertex for the mode a half-covered measured vertex got first.
+    Each step covers the lowest vertex with need completely: one edge for
+    need 1; an unordered pair of edges with equal modes there for a measured
+    vertex with need 2, so every cover is counted once.  An edge is listed at
+    its lower end only, since lower vertices are covered already.
 
     With ``forced`` (an edge tuple not in ``edges``), only covers of
     ``edges`` plus that edge which contain it are summed, without its
     amplitude."""
     n = len(measured)
     weight = [0] * n
-    slot = sum(not m for m in measured)
-    for i in range(n):
-        if not measured[i]:
-            slot -= 1
-            weight[i] = radix**slot
-    # Pending first modes of half-covered measured vertices, packed into an
-    # integer with one field per vertex.
+    for slot, i in enumerate(reversed([i for i in range(n) if not measured[i]])):
+        weight[i] = radix**slot
     width = radix.bit_length()
     field = (1 << width) - 1
-    shift = [width * i for i in range(n)]
+    shift = [2 * n + width * i for i in range(n)]
 
     # Per lower endpoint: (higher endpoint, own mode, its mode, ket code,
     # amplitude).
@@ -163,65 +161,58 @@ def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple | None = 
     for i, j, mode_i, mode_j, amp in edges:
         incident[i].append((j, mode_i, mode_j, mode_i * weight[i] + mode_j * weight[j], amp))
 
-    def place(w: int, mode: int, rem: int, half: int, pend: int):
-        """Give vertex ``w`` one incidence carrying ``mode``; None if it
-        needs none or, measured, already holds a different mode."""
+    def place(state: int, w: int, mode: int) -> int:
+        """``state`` after vertex ``w`` takes one incidence carrying ``mode``;
+        -1 if it needs none or, measured, already holds a different mode.  A
+        negative ``state`` gives a negative result, so placements chain."""
         bit = 1 << w
-        if not rem & bit:
-            return None
+        if not state & bit:
+            return -1
         if not measured[w]:
-            return rem ^ bit, half, pend
-        if not half & bit:
-            return rem, half | bit, pend | mode << shift[w]
-        if pend >> shift[w] & field != mode:
-            return None
-        return rem ^ bit, half ^ bit, pend & ~(field << shift[w])
+            return state ^ bit
+        if state >> n & bit:
+            return state ^ bit << n | mode << shift[w]
+        if state >> shift[w] & field != mode:
+            return -1
+        return state ^ bit ^ mode << shift[w]
 
-    memo: dict[int, dict[int, complex]] = {}
+    memo: dict[int, dict[int, complex]] = {0: {0: 1 + 0j}}
 
-    def solve(rem: int, half: int, pend: int) -> dict[int, complex]:
-        if not rem:
-            return {0: 1 + 0j}
-        key = rem | (half | pend << n) << n
-        out = memo.get(key)
+    def solve(state: int) -> dict[int, complex]:
+        out = memo.get(state)
         if out is not None:
             return out
         out = {}
-        v = (rem & -rem).bit_length() - 1
-        bit = 1 << v
-        branches = []
+        low = state & -state
+        v = low.bit_length() - 1
         if not measured[v]:
-            for w, _, mode_w, code, amp in incident[v]:
-                branches.append((place(w, mode_w, rem ^ bit, half, pend), code, amp))
-        elif half & bit:
-            first = pend >> shift[v] & field
-            rest = (rem ^ bit, half ^ bit, pend & ~(field << shift[v]))
-            for w, mode_v, mode_w, code, amp in incident[v]:
-                if mode_v == first:
-                    branches.append((place(w, mode_w, *rest), code, amp))
+            steps = [(place(state ^ low, w, mode_w), code, amp) for w, _, mode_w, code, amp in incident[v]]
+        elif state >> n & low:
+            rest = state ^ low ^ low << n
+            steps = [
+                (place(place(rest, a[0], a[2]), b[0], b[2]), a[3] + b[3], a[4] * b[4])
+                for a, b in combinations(incident[v], 2)
+                if a[1] == b[1]
+            ]
         else:
-            for a, b in combinations(incident[v], 2):
-                if a[1] != b[1]:
-                    continue
-                nxt = place(a[0], a[2], rem ^ bit, half, pend)
-                if nxt is not None:
-                    branches.append((place(b[0], b[2], *nxt), a[3] + b[3], a[4] * b[4]))
-        for nxt, code, amp in branches:
-            if nxt is None:
-                continue
-            for sub_code, sub_amp in solve(*nxt).items():
-                c = sub_code + code
-                out[c] = out.get(c, 0j) + sub_amp * amp
-        memo[key] = out
+            first = state >> shift[v] & field
+            rest = state ^ low ^ first << shift[v]
+            steps = [(place(rest, w, mode_w), code, amp) for w, own, mode_w, code, amp in incident[v] if own == first]
+        for nxt, code, amp in steps:
+            if nxt >= 0:
+                for sub_code, sub_amp in solve(nxt).items():
+                    c = sub_code + code
+                    out[c] = out.get(c, 0j) + sub_amp * amp
+        memo[state] = out
         return out
 
-    start = ((1 << n) - 1, 0, 0)
+    start = (1 << n) - 1 | sum(1 << n + v for v in range(n) if measured[v])
     offset = 0
     if forced is not None:
         i, j, mode_i, mode_j, _ = forced
-        start = place(j, mode_j, *place(i, mode_i, *start))
+        start = place(place(start, i, mode_i), j, mode_j)
         offset = mode_i * weight[i] + mode_j * weight[j]
-    sums = {code + offset: amp for code, amp in solve(*start).items()}
+    sums = {code + offset: amp for code, amp in solve(start).items()}
     solve = None  # the closure refers to itself; drop the cycle before returning
     memo.clear()
     return sums

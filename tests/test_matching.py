@@ -383,6 +383,8 @@ def _shuffled(g: ExperimentGraph, seed: int) -> ExperimentGraph:
 
 
 _REGULAR = {
+    "K2": lambda: pg.complete_graph(2),
+    "3K2": lambda: _from_pairs(6, [(0, 1), (2, 3), (4, 5)]),
     "K4": lambda: pg.complete_graph(4),
     "K6": lambda: pg.complete_graph(6),
     "K33": lambda: _complete_bipartite(3),

@@ -114,27 +114,53 @@ def test_count_histograms_match_the_exact_distribution():
     assert not outside
 
 
-def test_mean_count_on_twelve_vertices_matches_the_exact_moments():
-    """The sample mean of the perfect-matching count of G(12, p) against
-    E = N·p^6, N = 11!! = 10395, within 5 standard errors.
+def _shared_edge_counts(m: int) -> list[int]:
+    """c_k for k = 0..m: the perfect matchings of K_2m that share exactly k
+    edges with a fixed one, M.  Choose the k shared edges of M, C(m, k)
+    ways, and match the other 2j = 2(m - k) vertices with none of M's edges
+    among them, D(j) = sum_i (-1)^i C(j, i) (2j - 2i - 1)!! ways, by
+    inclusion-exclusion over the edges of M that such a matching holds."""
+    def avoiding(j: int) -> int:
+        return sum((-1) ** i * math.comb(j, i) * math.prod(range(1, 2 * (j - i), 2)) for i in range(j + 1))
 
-    The count is the sum over the N matchings M of K12 of [M in G], so
-    E[X^2] = sum over pairs (M, M') of p^|M u M'| = N·sum_k c_k·p^(12-k),
+    return [math.comb(m, k) * avoiding(m - k) for k in range(m + 1)]
+
+
+@pytest.mark.parametrize(
+    "n, trials, ps",
+    [
+        (12, 10000, [0.3, 0.5, 0.7]),
+        (14, 2000, [0.5, 0.7]),
+        (16, 2000, [0.5, 0.7]),
+        (18, 2000, [0.5, 0.7]),
+        (20, 1000, [0.5, 0.7]),
+    ],
+    ids=["12", "14", "16", "18", "20"],
+)
+def test_mean_count_matches_the_exact_moments(n, trials, ps):
+    """The sample mean of the perfect-matching count of G(n, p) against
+    E = N·p^(n/2), N = (n - 1)!!, within 5 standard errors.
+
+    The count is the sum over the N matchings M of K_n of [M in G], so
+    E[X^2] = sum over pairs (M, M') of p^|M u M'| = N·sum_k c_k·p^(n-k),
     where c_k counts the matchings sharing k edges with a fixed one (the
-    same for every M by symmetry), and Var X = E[X^2] - E^2.  The mean of T
+    same for every M by symmetry; the closed form is checked against a
+    brute-force count at n = 12), and Var X = E[X^2] - E^2.  The mean of T
     independent trials has standard error sqrt(Var X / T).  By the central
-    limit theorem it is near normal at T = 10000, and a normal leaves 5
-    standard errors with probability 5.7e-7; Chebyshev's bound, which holds
-    whatever the shape, is 1/25 per p."""
-    n, trials, ps = 12, 10000, [0.3, 0.5, 0.7]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    masks = pairing_masks(n, {pq: k for k, pq in enumerate(pairs)})
-    shared = Counter((mask & masks[0]).bit_count() for mask in masks)
-    matchings = len(masks)
-    assert matchings == 10395
-    for p, report in zip(ps, pg.ensemble_scan(n, ps, trials, 12)):
+    limit theorem it is near normal, and a normal leaves 5 standard errors
+    with probability 5.7e-7; Chebyshev's bound, which holds whatever the
+    shape, is 1/25 per p."""
+    shared = _shared_edge_counts(n // 2)
+    if n == 12:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        masks = pairing_masks(n, {pq: k for k, pq in enumerate(pairs)})
+        brute = Counter((mask & masks[0]).bit_count() for mask in masks)
+        assert shared == [brute[k] for k in range(n // 2 + 1)] == [6040, 3264, 900, 160, 30, 0, 1]
+    matchings = sum(shared)
+    assert matchings == math.prod(range(1, n, 2))
+    for p, report in zip(ps, pg.ensemble_scan(n, ps, trials, n)):
         mean = matchings * p ** (n // 2)
-        variance = matchings * sum(c * p ** (n - k) for k, c in shared.items()) - mean**2
+        variance = matchings * sum(c * p ** (n - k) for k, c in enumerate(shared)) - mean**2
         sample_mean = sum(count * freq for count, freq in report.pm_count_histogram.items()) / trials
         assert abs(sample_mean - mean) <= 5 * math.sqrt(variance / trials), p
 

@@ -538,6 +538,95 @@ def test_frustration_scan_matches_brute_force(g, data):
         assert abs(intensity - expected) <= 1e-9 * (1 + expected)
 
 
+# ---------------------------------------------------------------------------
+# state-kernel properties: relabelling, per-vertex scaling, disjoint union,
+# frustration
+# ---------------------------------------------------------------------------
+
+@st.composite
+def property_graphs(draw):
+    """Multigraphs on an even number of vertices up to 10, or two halves of
+    equal size merged at one or two vertex pairs into a graph of at most 10
+    vertices."""
+    if draw(st.booleans()):
+        n = 2 * draw(st.integers(min_value=1, max_value=5))
+        return draw(_half(pg.vertex_names(n), n // 2, 16))
+    pairs = draw(st.integers(min_value=1, max_value=2))
+    size = draw(st.integers(min_value=3, max_value=(10 + pairs) // 2))
+    left = draw(_half(list("abcdef")[:size], size, 2 * size))
+    right = draw(_half(list("uvwxyz")[:size], size, 2 * size))
+    return pg.merge_graphs(left, right, list(zip("ab", "uv"))[:pairs])
+
+
+def _assert_same_terms(got: dict, want: dict):
+    """Amplitudes agree within 1e-9 of the largest one, so a ket may be
+    missing on one side only when it is below that on the other."""
+    tol = 1e-9 * max(map(abs, [*got.values(), *want.values()]), default=0.0)
+    for ket in got.keys() | want.keys():
+        assert abs(got.get(ket, 0j) - want.get(ket, 0j)) <= tol, ket
+
+
+def _with_edges(g, edges) -> ExperimentGraph:
+    return ExperimentGraph(g.vertices, edges, g.measured)
+
+
+@given(property_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_permuting_the_vertex_order_permutes_the_ket_slots(g, rnd):
+    order = list(g.vertices)
+    rnd.shuffle(order)
+    permuted = ExperimentGraph(order, g.edges, g.measured)
+    slot = {v: k for k, v in enumerate(g.ket_vertices)}
+    moved = [slot[v] for v in permuted.ket_vertices]
+    want = {tuple(ket[k] for k in moved): a for ket, a in pg.state_from_graph(g).terms.items()}
+    _assert_same_terms(pg.state_from_graph(permuted).terms, want)
+
+
+@given(
+    property_graphs(),
+    st.data(),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+@settings(max_examples=150, deadline=None)
+def test_scaling_the_edges_at_a_vertex_scales_every_ket_by_its_need(g, data, s, theta):
+    v = data.draw(st.sampled_from(g.vertices))
+    scaled = _with_edges(g, [
+        Edge(e.id, e.u, e.v, e.mode_u, e.mode_v, e.amp_mag * s, e.amp_phase_rad + theta) if v in (e.u, e.v) else e
+        for e in g.edges
+    ])
+    factor = cmath.rect(s, theta) ** (2 if v in g.measured else 1)
+    want = {ket: a * factor for ket, a in pg.state_from_graph(g).terms.items()}
+    _assert_same_terms(pg.state_from_graph(scaled).terms, want)
+
+
+@given(property_graphs(), property_graphs())
+@settings(max_examples=80, deadline=None)
+def test_the_state_of_a_disjoint_union_is_the_tensor_product(g, h):
+    rename = {v: f"r{v}" for v in h.vertices}
+    h = ExperimentGraph(
+        [rename[v] for v in h.vertices],
+        [Edge(e.id, rename[e.u], rename[e.v], e.mode_u, e.mode_v, e.amp_mag, e.amp_phase_rad) for e in h.edges],
+        [rename[v] for v in h.measured],
+    )
+    union = pg.merge_graphs(g, h, [])
+    first, second = pg.state_from_graph(g).terms, pg.state_from_graph(h).terms
+    want = {k1 + k2: a1 * a2 for k1, a1 in first.items() for k2, a2 in second.items()}
+    _assert_same_terms(pg.state_from_graph(union, override_limits=True).terms, want)
+
+
+@given(property_graphs(), st.data(), st.floats(min_value=-math.pi, max_value=math.pi))
+@settings(max_examples=150, deadline=None)
+def test_frustration_scan_is_the_intensity_of_the_state_at_each_phase(g, data, phase):
+    edge_id = data.draw(st.sampled_from(sorted(e.id for e in g.edges)))
+    ((_, intensity),) = pg.frustration_scan(g, edge_id, [phase])
+    set_phase = _with_edges(g, [
+        Edge(e.id, e.u, e.v, e.mode_u, e.mode_v, e.amp_mag, phase) if e.id == edge_id else e for e in g.edges
+    ])
+    expected = pg.state_from_graph(set_phase).norm_sq()
+    assert abs(intensity - expected) <= 1e-9 * (1 + expected)
+
+
 def test_state_guard_still_refuses_large_edge_sets():
     g = pg.complete_graph(12)
     assert len(g.edges) > pg.matching.EDGE_LIMIT
