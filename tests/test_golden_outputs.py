@@ -86,6 +86,17 @@ def test_search_outputs_golden():
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
+GHZ10_SEARCH_GOLDEN_SHA256 = "73d59f67a57c202053081b4667c5a35a0b1755a497d6480e3b7a91889629854d"
+
+
+def test_ghz10_search_golden():
+    """The first hit of the 10-photon two-dimensional GHZ search within ten
+    edges, as its graph document."""
+    target = QuantumState({(m,) * 10: 1 / math.sqrt(2) for m in range(2)})
+    found = pg.search_graph_for_state(target, max_edges=10)
+    assert hashlib.sha256(pg.serialize_graph(found).encode()).hexdigest() == GHZ10_SEARCH_GOLDEN_SHA256
+
+
 ENSEMBLE_GOLDEN_SHA256 = "23e3015a4bea17bea0ee86829c0a9f2f086e78dc7a9de51dab5fd1875d89dd81"
 
 

@@ -347,12 +347,29 @@ def test_search_first_hit_matches_naive_oracle(case):
     assert pg.search_graph_for_state(target, **bounds) == naive_search_graph_for_state(target, **bounds)
 
 
-@pytest.mark.parametrize("n, d", [(4, 2), (4, 3), (6, 2)])
+@pytest.mark.parametrize("n, d", [(4, 2), (4, 3), (6, 2), (8, 2)])
 def test_search_ghz_first_hit_matches_naive_oracle(n, d):
     target = QuantumState({(m,) * n: 1 / math.sqrt(d) for m in range(d)})
     found = pg.search_graph_for_state(target)
     assert found is not None
     assert found == naive_search_graph_for_state(target)
+
+
+@pytest.mark.parametrize("max_edges", [6, 8])
+@pytest.mark.parametrize(
+    "slots, ratio",
+    [((0, 1), 1), ((1, 4), 1), ((0, 1), 2), ((1, 4), 2), ((0, 1, 2, 3), 1), ((0, 2, 3, 5), 1), ((1, 2, 3, 4), 1),
+     ((0, 1, 2, 3, 4, 5), 1)],
+)
+def test_search_two_ket_first_hit_matches_naive_oracle(slots, ratio, max_edges):
+    """|000000> + ratio |x>, where x holds mode 1 in ``slots``.  When the
+    kets differ in two slots, swapping one edge of a cover for its parallel
+    edge gives the other target ket, so such a union must stay a candidate."""
+    other = tuple(int(s in slots) for s in range(6))
+    target = QuantumState({(0,) * 6: 1.0, other: float(ratio)})
+    found = pg.search_graph_for_state(target, max_edges=max_edges)
+    assert found is not None
+    assert found == naive_search_graph_for_state(target, max_edges=max_edges)
 
 
 def test_frustration_scan_double_edge():
