@@ -33,10 +33,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import reduce
-from itertools import combinations
-from operator import and_, or_
-from typing import Iterator
+from bisect import bisect_left
+from itertools import combinations, product
 
 from .errors import DomainError, FullyFrustratedError, GraphParseError
 from .graph import Edge, ExperimentGraph, _Record, _expect, _float_value, _parse_json, vertex_names
@@ -362,41 +360,6 @@ def frustration_scan(
 # target-state search over small multigraphs
 # ---------------------------------------------------------------------------
 
-# A bucket of at most this many candidates is sorted by its string key; a
-# larger one is split on a label bit first.  Timed on the 11,025 candidates
-# of the 8-photon GHZ search and on as many random 60-bit masks: reaching
-# the 237th candidate costs the same for cut-offs from 64 to 512, while
-# ordering all of them costs about 4.5x the full sort at 16, 3.4x at 128 and
-# 2.6x at 512.  128 keeps a level of a few hundred candidates lazy.
-_SORTED_BUCKET = 128
-
-
-def _label_order(masks: list[int], key) -> Iterator[int]:
-    """Yield the distinct nonzero ``masks`` in the order of ``sorted(masks,
-    key=key)``, where ``key`` reads a mask's bits from the lowest, a set bit
-    before an unset one, so the first bit in which two masks differ decides
-    and a mask comes before the masks that extend it only above its top bit.
-    (Mask 0 has no such key: ``bin(0)`` is ``'0'``.)  Only the buckets a
-    caller reaches get sorted.
-
-    All masks of a bucket agree below its lowest differing bit b: the one
-    with no bit from b up (if any) comes first, then those holding b, then
-    the rest.  Only the bucket holding b is entered, and its masks share one
-    more set bit, so the depth is bounded by a mask's popcount."""
-    while len(masks) > _SORTED_BUCKET:
-        common = reduce(and_, masks)
-        diff = reduce(or_, masks) ^ common
-        b = diff & -diff
-        held = [m for m in masks if m & b]
-        masks = [m for m in masks if not m & b]
-        prefix = common & b - 1
-        if prefix in masks:
-            masks.remove(prefix)
-            yield prefix
-        yield from _label_order(held, key)
-    yield from sorted(masks, key=key)
-
-
 def search_graph_for_state(
     target: QuantumState,
     *,
@@ -415,24 +378,31 @@ def search_graph_for_state(
     all +1, no cancellation can occur: every cover's ket must be a target ket
     and the per-ket cover counts must be proportional to the target
     magnitudes.  Candidates are therefore assembled directly from covers -
-    for each ket, a choice of vertex pairings - with the implied edge set
-    kept within the bounds.  Candidates are tried by increasing total cover
-    count and, within one level, by canonical edge-set order (sorted label
-    tuples), so the first hit is deterministic.  Each edge label
-    (i, j, mode_i, mode_j) is one bit, so a candidate is an int bitmask
-    ordered exactly as its label tuple.  A level's candidates are ordered
-    lazily, split on one label bit at a time with only small buckets
-    sorted, so only the candidates the level reaches before its first hit
-    get ordered.  The state kernel runs on a candidate's labels, and only a
-    candidate whose state matches becomes a graph, re-verified with
-    ``verify_target``.
+    for each ket, a choice of vertex pairings - and tried by increasing total
+    cover count and, within one level, in label order (sorted label tuples),
+    so the first hit is deterministic.  Each edge label (i, j, mode_i,
+    mode_j) is one bit, so a candidate is an int bitmask.  A level walks
+    every ket but the last once into prefix unions, lists the last ket's
+    choices once, and joins the two one group at a time: group f, the
+    candidates whose lowest label is f, is built, sorted and tried before
+    the next.  Label order compares lowest labels first, so this is the
+    level's label order, and a (prefix, tail) pair is joined only in the
+    group of the lower of their lowest labels.  The state kernel runs on a
+    candidate's labels; only a candidate whose state matches becomes a
+    graph, re-verified with ``verify_target``.
 
-    A partial edge set is dropped when even the fewest edges the remaining
-    kets still need cannot fit the budget: n/2 edges for one cover of a ket,
-    n/2 + 2 for two or more, summed over remaining kets that pairwise agree
-    in at most one slot (such kets share no edge), less the edges already
-    chosen that fit each ket.  The bound never drops a candidate within the
-    budget, so the first hit is unchanged."""
+    A partial edge set is dropped, with all its supersets, (1) when even the
+    fewest edges the remaining kets still need cannot fit the budget: n/2
+    for one cover of a ket, n/2 + 2 for two or more, summed over remaining
+    kets that pairwise agree in at most one slot (they share no edge), less
+    the chosen edges that fit each ket; (2) when a vertex pair holds more
+    than ``max_parallel`` labels; (3) when it holds an edge (i, j) of a
+    pairing chosen for ket k and a parallel label on (i, j) that, swapped
+    into that pairing, gives a ket outside the target: no cover cancels, so
+    that ket would be in the state.  No bound drops a set that could hit,
+    so the first hit is unchanged.  The masks of (3), one per ket and
+    pairing, are built once, at the first level that passes (1) at its
+    root, and are tested only on sets within the budget."""
     for name, bound in (("max_edges", max_edges), ("max_mode", max_mode), ("max_parallel", max_parallel)):
         if bound < 0:
             raise DomainError(f"{name} must be nonnegative, got {bound}")
@@ -448,15 +418,10 @@ def search_graph_for_state(
         return None
     # Unit-amplitude covers add up in phase, so target amplitudes must sit on
     # the positive real axis after canonicalization.
-    amps = []
-    for ket in kets:
-        amp = canon.terms[ket]
-        if abs(amp.imag) > AMP_TOL or amp.real <= 0:
-            return None
-        amps.append(amp.real)
-
-    smallest = min(amps)
-    ratios = [a / smallest for a in amps]
+    if any(abs(amp.imag) > AMP_TOL or amp.real <= 0 for amp in canon.terms.values()):
+        return None
+    amps = [canon.terms[ket].real for ket in kets]
+    ratios = [a / min(amps) for a in amps]
 
     names = vertex_names(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -468,12 +433,13 @@ def search_graph_for_state(
     # One bit per edge label, ranked in label order.
     labels = sorted({(i, j, ket[i], ket[j]) for ket in kets for p in all_pairings for i, j in p})
     bit = {label: 1 << r for r, label in enumerate(labels)}
-    per_ket_options = [[sum(bit[i, j, ket[i], ket[j]] for i, j in p) for p in all_pairings] for ket in kets]
     # Labels fitting each ket, and the parallel labels of each vertex pair.
     ket_mask = [sum(b for (i, j, mi, mj), b in bit.items() if ket[i] == mi and ket[j] == mj) for ket in kets]
     pair_mask: dict[tuple[int, int], int] = {}
     for (i, j, _, _), b in bit.items():
         pair_mask[i, j] = pair_mask.get((i, j), 0) | b
+    # Only a pair with more labels than ``max_parallel`` can break it.
+    crowded = [m for m in pair_mask.values() if m.bit_count() > max_parallel]
     # Read from the lowest bit with set bits as "0", masks sort as their
     # label tuples: the first label in which two differ decides, and a
     # prefix sorts first.
@@ -481,12 +447,15 @@ def search_graph_for_state(
     # Target ket codes; a candidate's sums are positive cover counts.
     radix = 1 + max(map(max, kets))
     want = {sum(m * radix ** (n - 1 - s) for s, m in enumerate(ket)): a for ket, a in zip(kets, amps)}
+    # Per ket, each pairing as (its labels, its foreign labels); built at
+    # the first level that passes the root edge bound.
+    per_ket_options: list[list[tuple[int, int]]] = []
 
     # Per start index, a greedy set of the remaining kets that pairwise
     # agree in at most one slot.  Such kets share no edge label, so the
-    # edges they still need add up.
+    # edges they still need add up.  Past the last ket the set is empty.
     spread: list[list[int]] = []
-    for idx in range(len(kets)):
+    for idx in range(len(kets) + 1):
         picked: list[int] = []
         for k in range(idx, len(kets)):
             if all(sum(x == y for x, y in zip(kets[k], kets[j])) <= 1 for j in picked):
@@ -494,56 +463,84 @@ def search_graph_for_state(
         spread.append(picked)
 
     for scale in range(1, pairing_count + 1):
-        counts = []
-        for r in ratios:
-            c = scale * r
-            rounded = round(c)
-            if abs(c - rounded) > 1e-6 or rounded < 1 or rounded > pairing_count:
-                counts = []
-                break
-            counts.append(rounded)
-        if not counts or sum(counts) > cover_capacity:
+        # Every ratio is at least 1, so every count is.
+        counts = [round(scale * r) for r in ratios]
+        if any(abs(scale * r - c) > 1e-6 for r, c in zip(ratios, counts)):
+            continue
+        if max(counts) > pairing_count or sum(counts) > cover_capacity:
             continue
         # Each chosen pairing puts at most one label on a pair.
-        check_parallel = sum(counts) > max_parallel
+        check_parallel = crowded and sum(counts) > max_parallel
 
         # Fewest edges hosting c covers of one ket: one pairing has n/2
         # edges, and two distinct pairings differ on even alternating cycles,
         # so a second one adds at least two.
         least = [n // 2 if c == 1 else n // 2 + 2 for c in counts]
-        candidates: set[int] = set()
 
-        def extend(idx: int, union: int):
-            still_needed = sum(max(0, least[k] - (union & ket_mask[k]).bit_count()) for k in spread[idx])
-            if union.bit_count() + still_needed > max_edges:
-                return
-            for combo in combinations(per_ket_options[idx], counts[idx]):
-                new_union = union
-                for option in combo:
-                    new_union |= option
-                if new_union.bit_count() > max_edges or check_parallel and any(
-                    (new_union & m).bit_count() > max_parallel for m in pair_mask.values()
-                ):
+        def needed(idx: int, union: int) -> int:
+            return union.bit_count() + sum(max(0, least[k] - (union & ket_mask[k]).bit_count()) for k in spread[idx])
+
+        def crowding(union: int) -> bool:
+            return check_parallel and any((union & m).bit_count() > max_parallel for m in crowded)
+
+        def grown(idx: int, bases) -> list[tuple[int, int, int]]:
+            """(lowest label, union, foreign labels) of each union within the
+            bounds of a base and ``counts[idx]`` pairings of ket idx, sorted."""
+            options = per_ket_options[idx]
+            partial = [(-1, union, banned) for _, union, banned in bases]
+            for _ in range(counts[idx]):
+                partial = [
+                    (k, union, banned | options[k][1])
+                    for after, prior, banned in partial
+                    for k in range(after + 1, pairing_count)
+                    if (union := prior | options[k][0]).bit_count() <= max_edges
+                ]
+            out: dict[int, int] = {}
+            for _, union, banned in partial:
+                out[union] = out.get(union, 0) | banned
+            return sorted((u & -u, u, b) for u, b in out.items() if not (u & b or crowding(u)) and needed(idx + 1, u) <= max_edges)
+
+        if needed(0, 0) > max_edges:
+            continue
+        if not per_ket_options:
+            for ket in kets:
+                # A label swapped into a cover of this ket for the edge on its
+                # pair is foreign unless a target ket differs from it only there.
+                foreign = dict(pair_mask)
+                for other in kets:
+                    diff = {s for s in range(n) if other[s] != ket[s]}
+                    for i, j in pairs:
+                        if diff <= {i, j}:
+                            foreign[i, j] &= ~bit[i, j, other[i], other[j]]
+                per_ket_options.append([(sum(bit[i, j, ket[i], ket[j]] for i, j in p), sum(map(foreign.get, p))) for p in all_pairings])
+
+        # The empty prefix sorts after every lowest label.
+        prefixes = [(1 << len(labels), 0, 0)]
+        for idx in range(len(kets) - 1):
+            prefixes = grown(idx, prefixes)
+        tails = grown(len(kets) - 1, [(0, 0, 0)]) if prefixes else []
+        for f in sorted({p[0] for p in prefixes + tails}):
+            p_at, p_past = bisect_left(prefixes, (f,)), bisect_left(prefixes, (f + 1,))
+            t_at, t_past = bisect_left(tails, (f,)), bisect_left(tails, (f + 1,))
+            group = {
+                union
+                for heads, ends in ((prefixes[p_at:p_past], tails[t_at:]), (prefixes[p_past:], tails[t_at:t_past]))
+                for (_, head, head_banned), (_, tail, tail_banned) in product(heads, ends)
+                if (union := head | tail).bit_count() <= max_edges
+                and not (head & tail_banned or tail & head_banned or crowding(union))
+            }
+            for mask in sorted(group, key=lambda m: bin(m)[:1:-1].translate(flip)):
+                key = [label for r, label in enumerate(labels) if mask >> r & 1]
+                sums = _cover_sums([False] * n, [(*label, 1) for label in key], radix)
+                if sums.keys() != want.keys():
                     continue
-                if idx + 1 < len(kets):
-                    extend(idx + 1, new_union)
-                else:
-                    candidates.add(new_union)
-
-        extend(0, 0)
-        extend = None  # the closure refers to itself; drop the cycle before returning
-        for mask in _label_order(list(candidates), lambda m: bin(m)[:1:-1].translate(flip)):
-            key = [label for r, label in enumerate(labels) if mask >> r & 1]
-            sums = _cover_sums([False] * n, [(*label, 1) for label in key], radix)
-            if sums.keys() != want.keys():
-                continue
-            norm = math.hypot(*map(abs, sums.values()))
-            if any(abs(abs(sums[c]) / norm - a) > 2 * AMP_TOL for c, a in want.items()):
-                continue
-            edges = [Edge(f"e{k}", names[i], names[j], mi, mj) for k, (i, j, mi, mj) in enumerate(key)]
-            graph = ExperimentGraph(names, edges)
-            if verify_target(graph, target):
-                return graph
+                norm = math.hypot(*map(abs, sums.values()))
+                if any(abs(abs(sums[c]) / norm - a) > 2 * AMP_TOL for c, a in want.items()):
+                    continue
+                edges = [Edge(f"e{k}", names[i], names[j], mi, mj) for k, (i, j, mi, mj) in enumerate(key)]
+                graph = ExperimentGraph(names, edges)
+                if verify_target(graph, target):
+                    return graph
     return None
 
 

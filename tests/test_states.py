@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph, QuantumState
-from photongraph.states import _SORTED_BUCKET, _label_order
 
 from fixt import double_edge, k4_ghz, layered6, w_state_target
 from oracles import brute_force_state, naive_search_graph_for_state
@@ -299,32 +298,6 @@ def test_search_rejects_unreachable_modes():
 
 
 @st.composite
-def nested_unions(draw):
-    """Unions of base masks that each hold bits of their own byte, so one
-    union often extends another only above its top bit."""
-    bases = [draw(st.integers(1, 255)) << 8 * k for k in range(draw(st.integers(1, 9)))]
-    dropped = draw(st.sets(st.integers(1, (1 << len(bases)) - 1), max_size=40))
-    picks = set(range(1, 1 << len(bases))) - dropped
-    return {sum(b for k, b in enumerate(bases) if pick >> k & 1) for pick in picks}
-
-
-label_mask_sets = st.one_of(
-    st.sets(st.integers(1, (1 << 60) - 1), min_size=1, max_size=400),
-    nested_unions(),
-    st.sets(st.integers(1, (1 << 10) - 1), min_size=_SORTED_BUCKET - 3, max_size=_SORTED_BUCKET + 3),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(label_mask_sets)
-def test_label_order_is_the_sorted_order(masks):
-    """The search's lazy candidate order is the full sort by its key."""
-    flip = str.maketrans("01", "10")
-    key = lambda m: bin(m)[:1:-1].translate(flip)
-    assert list(_label_order(list(masks), key)) == sorted(masks, key=key)
-
-
-@st.composite
 def search_cases(draw):
     n = draw(st.sampled_from([2, 4]))
     kets = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=3, unique=True))
@@ -353,6 +326,20 @@ def test_search_ghz_first_hit_matches_naive_oracle(n, d):
     found = pg.search_graph_for_state(target)
     assert found is not None
     assert found == naive_search_graph_for_state(target)
+
+
+def test_search_drops_unions_holding_a_foreign_cover(monkeypatch):
+    """The 6-photon 3-dimensional GHZ target has no graph within 9 edges, so
+    the search tries every union it keeps.  Two pairings of different modes
+    that share a vertex pair give a cover of mixed modes, whose ket is not a
+    target ket.  So only ordered triples of pairwise edge-disjoint pairings
+    of K6 are tried: 15 choices, then 8, then 4."""
+    runs = []
+    kernel = pg.states._cover_sums
+    monkeypatch.setattr(pg.states, "_cover_sums", lambda *args, **kwargs: runs.append(1) or kernel(*args, **kwargs))
+    target = QuantumState({(m,) * 6: 1.0 for m in range(3)})
+    assert pg.search_graph_for_state(target, max_edges=9) is None
+    assert len(runs) == 15 * 8 * 4
 
 
 @pytest.mark.parametrize("max_edges", [6, 8])
