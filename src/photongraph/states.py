@@ -126,7 +126,7 @@ def _decode(codes: list[int], radix: int, length: int) -> list[Ket]:
     return list(zip(*reversed(columns))) if columns else [()] * len(codes)
 
 
-def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple | None = None) -> dict[int, complex]:
+def _cover_sums(measured: list[bool], edges, radix: int, forced=(None,)) -> list[dict[int, complex]]:
     """Summed cover amplitude per ket, by a memoized DP over what is left to
     cover.  No cover is enumerated.  Vertex i is measured if ``measured[i]``;
     ``edges`` are (i, j, mode_i, mode_j, amplitude) tuples with i < j.
@@ -142,9 +142,10 @@ def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple | None = 
     vertex with need 2, so every cover is counted once.  An edge is listed at
     its lower end only, since lower vertices are covered already.
 
-    With ``forced`` (an edge tuple not in ``edges``), only covers of
-    ``edges`` plus that edge which contain it are summed, without its
-    amplitude."""
+    One sums dict is returned per entry of ``forced``: for None, all covers
+    of ``edges``; for an edge tuple not in ``edges``, only the covers of
+    ``edges`` plus that edge which contain it, without its amplitude.  The
+    entries start from different states of one DP and share its memo."""
     n = len(measured)
     weight = [0] * n
     for slot, i in enumerate(reversed([i for i in range(n) if not measured[i]])):
@@ -204,16 +205,18 @@ def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple | None = 
         memo[state] = out
         return out
 
-    start = (1 << n) - 1 | sum(1 << n + v for v in range(n) if measured[v])
-    offset = 0
-    if forced is not None:
-        i, j, mode_i, mode_j, _ = forced
-        start = place(place(start, i, mode_i), j, mode_j)
-        offset = mode_i * weight[i] + mode_j * weight[j]
-    sums = {code + offset: amp for code, amp in solve(start).items()}
+    full = (1 << n) - 1 | sum(1 << n + v for v in range(n) if measured[v])
+    out = []
+    for edge in forced:
+        start, offset = full, 0
+        if edge is not None:
+            i, j, mode_i, mode_j, _ = edge
+            start = place(place(full, i, mode_i), j, mode_j)
+            offset = mode_i * weight[i] + mode_j * weight[j]
+        out.append({code + offset: amp for code, amp in solve(start).items()})
     solve = None  # the closure refers to itself; drop the cycle before returning
     memo.clear()
-    return sums
+    return out
 
 
 def _graph_sums(g: ExperimentGraph) -> tuple[dict[Ket, complex], complex]:
@@ -228,7 +231,7 @@ def _graph_sums(g: ExperimentGraph) -> tuple[dict[Ket, complex], complex]:
     if sums is None:
         edges = _indexed(g, g.edges)
         radix = _radix(edges)
-        raw = _cover_sums([v in g.measured for v in g.vertices], edges, radix)
+        (raw,) = _cover_sums([v in g.measured for v in g.vertices], edges, radix)
         if not all(map(cmath.isfinite, raw.values())):
             raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
         codes = sorted(code for code, amp in raw.items() if abs(amp) > AMP_TOL)
@@ -326,18 +329,17 @@ def frustration_scan(
     """Sweep one edge's amplitude phase and report the total unnormalized
     intensity (sum of |amplitude|^2) at each value.
 
-    Two kernel runs give, per ket, B summed over the covers without the edge
-    and A over the covers through it, less its amplitude a.  The ket's
-    amplitude at a phase is B + a * A, so each phase costs one pass over the
-    kets."""
+    One kernel run, from two start states that share one memo, gives per
+    ket B summed over the covers without the edge and A over the covers
+    through it, less its amplitude a.  The ket's amplitude at a phase is
+    B + a * A, so each phase costs one pass over the kets."""
     edge = g.edge_by_id(edge_id)
     _check_scale(g, override_limits)
     measured = [v in g.measured for v in g.vertices]
     rest = _indexed(g, [e for e in g.edges if e.id != edge_id])
     (forced,) = _indexed(g, [edge])
     radix = _radix(rest + [forced])
-    without = _cover_sums(measured, rest, radix)
-    through = _cover_sums(measured, rest, radix, forced=forced)
+    without, through = _cover_sums(measured, rest, radix, (None, forced))
     pairs = [(without.get(k, 0j), through.get(k, 0j)) for k in without.keys() | through.keys()]
     out = []
     for phase in phases:
@@ -531,7 +533,7 @@ def search_graph_for_state(
             }
             for mask in sorted(group, key=lambda m: bin(m)[:1:-1].translate(flip)):
                 key = [label for r, label in enumerate(labels) if mask >> r & 1]
-                sums = _cover_sums([False] * n, [(*label, 1) for label in key], radix)
+                (sums,) = _cover_sums([False] * n, [(*label, 1) for label in key], radix)
                 if sums.keys() != want.keys():
                     continue
                 norm = math.hypot(*map(abs, sums.values()))

@@ -659,6 +659,17 @@ def test_state_questions_of_one_graph_run_the_kernel_once(monkeypatch):
     assert len(runs) == 1
 
 
+def test_frustration_scan_runs_the_kernel_once(monkeypatch):
+    """The sums without the swept edge and through it come from one kernel
+    run, so the second start reuses the states the first one summed."""
+    runs = []
+    kernel = pg.states._cover_sums
+    monkeypatch.setattr(pg.states, "_cover_sums", lambda *args, **kwargs: runs.append(1) or kernel(*args, **kwargs))
+    rows = pg.frustration_scan(double_edge(), "II", [0.0, math.pi])
+    assert [i for _, i in rows] == pytest.approx([4.0, 0.0])
+    assert len(runs) == 1
+
+
 def test_mutating_a_returned_state_leaves_the_graph_state_alone():
     """Every call returns terms of its own, so a caller that edits them
     cannot change what the next call returns."""
