@@ -126,7 +126,7 @@ def _decode(codes: list[int], radix: int, length: int) -> list[Ket]:
     return list(zip(*reversed(columns))) if columns else [()] * len(codes)
 
 
-def _cover_sums(measured: list[bool], edges, radix: int, forced=(None,)) -> list[dict[int, complex]]:
+def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple = (None,)) -> list[dict[int, complex]]:
     """Summed cover amplitude per ket, by a memoized DP over what is left to
     cover.  No cover is enumerated.  Vertex i is measured if ``measured[i]``;
     ``edges`` are (i, j, mode_i, mode_j, amplitude) tuples with i < j.
@@ -472,7 +472,7 @@ def search_graph_for_state(
         if max(counts) > pairing_count or sum(counts) > cover_capacity:
             continue
         # Each chosen pairing puts at most one label on a pair.
-        check_parallel = crowded and sum(counts) > max_parallel
+        check_parallel = bool(crowded) and sum(counts) > max_parallel
 
         # Fewest edges hosting c covers of one ket: one pairing has n/2
         # edges, and two distinct pairings differ on even alternating cycles,
