@@ -38,7 +38,7 @@ from itertools import combinations, product
 
 from .errors import DomainError, FullyFrustratedError, GraphParseError
 from .graph import Edge, ExperimentGraph, _Record, _expect, _float_value, _parse_json, vertex_names
-from .matching import _check_scale, _covers
+from .matching import _check_scale, _covers, count_pm_formula
 
 __all__ = [
     "AMP_TOL",
@@ -129,7 +129,9 @@ def _decode(codes: list[int], radix: int, length: int) -> list[Ket]:
 def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple = (None,)) -> list[dict[int, complex]]:
     """Summed cover amplitude per ket, by a memoized DP over what is left to
     cover.  No cover is enumerated.  Vertex i is measured if ``measured[i]``;
-    ``edges`` are (i, j, mode_i, mode_j, amplitude) tuples with i < j.
+    ``edges`` are (i, j, mode_i, mode_j, amplitude) tuples with i < j.  Seeded
+    with the int 1 and summed from the int 0, the sums keep the amplitudes'
+    arithmetic: complex ones bit for bit as a complex seed, ints exactly.
 
     A ket is coded as the integer sum of mode * radix**(k - 1 - slot) over
     its k slots, so joining two partial kets is an addition and integer order
@@ -175,7 +177,7 @@ def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple = (None,)
             return -1
         return state ^ bit ^ mode << shift[w]
 
-    memo: dict[int, dict[int, complex]] = {0: {0: 1 + 0j}}
+    memo: dict[int, dict[int, complex]] = {0: {0: 1}}
 
     def solve(state: int) -> dict[int, complex]:
         out = memo.get(state)
@@ -201,7 +203,7 @@ def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple = (None,)
             if nxt >= 0:
                 for sub_code, sub_amp in solve(nxt).items():
                     c = sub_code + code
-                    out[c] = out.get(c, 0j) + sub_amp * amp
+                    out[c] = out.get(c, 0) + sub_amp * amp
         memo[state] = out
         return out
 
@@ -231,7 +233,8 @@ def _graph_sums(g: ExperimentGraph) -> tuple[dict[Ket, complex], complex]:
     if sums is None:
         edges = _indexed(g, g.edges)
         radix = _radix(edges)
-        (raw,) = _cover_sums([v in g.measured for v in g.vertices], edges, radix)
+        # With no vertex to cover, the kernel would return its int seed 1 as the sum.
+        (raw,) = _cover_sums([v in g.measured for v in g.vertices], edges, radix) if g.vertices else ({0: 1 + 0j},)
         if not all(map(cmath.isfinite, raw.values())):
             raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
         codes = sorted(code for code, amp in raw.items() if abs(amp) > AMP_TOL)
@@ -389,9 +392,10 @@ def search_graph_for_state(
     candidates whose lowest label is f, is built, sorted and tried before
     the next.  Label order compares lowest labels first, so this is the
     level's label order, and a (prefix, tail) pair is joined only in the
-    group of the lower of their lowest labels.  The state kernel runs on a
-    candidate's labels; only a candidate whose state matches becomes a
-    graph, re-verified with ``verify_target``.
+    group of the lower of their lowest labels.  On a candidate's unit labels
+    the state kernel gives exact int cover counts.  A hit has the target's
+    kets and counts proportional to the level's, by integer cross-products;
+    only a hit becomes a graph, re-verified by ``verify_target``.
 
     A partial edge set is dropped, with all its supersets, (1) when even the
     fewest edges the remaining kets still need cannot fit the budget: n/2
@@ -402,9 +406,12 @@ def search_graph_for_state(
     pairing chosen for ket k and a parallel label on (i, j) that, swapped
     into that pairing, gives a ket outside the target: no cover cancels, so
     that ket would be in the state.  No bound drops a set that could hit,
-    so the first hit is unchanged.  The masks of (3), one per ket and
-    pairing, are built once, at the first level that passes (1) at its
-    root, and are tested only on sets within the budget."""
+    so the first hit is unchanged.  The pairings of K_n and the masks of
+    (3), one per ket and pairing, are built once, at the first level that
+    passes (1) at its root, and are tested only on sets within the budget.
+    No count falls as the scale grows, so the first level with more pairings
+    than K_n has, more covers than ``max_edges`` edges host, or failing (1)
+    at its root ends the search: a target no level fits lists no pairing."""
     for name, bound in (("max_edges", max_edges), ("max_mode", max_mode), ("max_parallel", max_parallel)):
         if bound < 0:
             raise DomainError(f"{name} must be nonnegative, got {bound}")
@@ -414,9 +421,7 @@ def search_graph_for_state(
     if not kets:
         return None
     n = len(kets[0])
-    if any(len(k) != n for k in kets) or n == 0 or n % 2 != 0:
-        return None
-    if max(max(k) for k in kets) > max_mode:
+    if any(len(k) != n for k in kets) or n == 0 or n % 2 != 0 or max(map(max, kets)) > max_mode:
         return None
     # Unit-amplitude covers add up in phase, so target amplitudes must sit on
     # the positive real axis after canonicalization.
@@ -427,30 +432,26 @@ def search_graph_for_state(
 
     names = vertex_names(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    all_pairings = _covers([1] * n, pairs, pairs)
-    pairing_count = len(all_pairings)
+    pairing_count = count_pm_formula(n // 2)
     # No graph within the edge budget hosts more distinct covers than this.
     cover_capacity = math.comb(max_edges, n // 2)
 
     # One bit per edge label, ranked in label order.
-    labels = sorted({(i, j, ket[i], ket[j]) for ket in kets for p in all_pairings for i, j in p})
+    labels = sorted({(i, j, ket[i], ket[j]) for ket in kets for i, j in pairs})
     bit = {label: 1 << r for r, label in enumerate(labels)}
     # Labels fitting each ket, and the parallel labels of each vertex pair.
-    ket_mask = [sum(b for (i, j, mi, mj), b in bit.items() if ket[i] == mi and ket[j] == mj) for ket in kets]
-    pair_mask: dict[tuple[int, int], int] = {}
-    for (i, j, _, _), b in bit.items():
-        pair_mask[i, j] = pair_mask.get((i, j), 0) | b
+    ket_mask = [sum(bit[i, j, ket[i], ket[j]] for i, j in pairs) for ket in kets]
+    pair_mask = {(i, j): sum({bit[i, j, ket[i], ket[j]] for ket in kets}) for i, j in pairs}
     # Only a pair with more labels than ``max_parallel`` can break it.
     crowded = [m for m in pair_mask.values() if m.bit_count() > max_parallel]
     # Read from the lowest bit with set bits as "0", masks sort as their
     # label tuples: the first label in which two differ decides, and a
     # prefix sorts first.
     flip = str.maketrans("01", "10")
-    # Target ket codes; a candidate's sums are positive cover counts.
+    # Target ket codes in ket order; a candidate's sums are int cover counts.
     radix = 1 + max(map(max, kets))
-    want = {sum(m * radix ** (n - 1 - s) for s, m in enumerate(ket)): a for ket, a in zip(kets, amps)}
-    # Per ket, each pairing as (its labels, its foreign labels); built at
-    # the first level that passes the root edge bound.
+    codes = [sum(m * radix ** (n - 1 - s) for s, m in enumerate(ket)) for ket in kets]
+    # Per ket, each pairing as (its labels, its foreign labels), built lazily.
     per_ket_options: list[list[tuple[int, int]]] = []
 
     # Per start index, a greedy set of the remaining kets that pairwise
@@ -464,13 +465,13 @@ def search_graph_for_state(
                 picked.append(k)
         spread.append(picked)
 
-    for scale in range(1, pairing_count + 1):
-        # Every ratio is at least 1, so every count is.
+    # Every ratio is at least 1, so every count is at least the scale.
+    for scale in range(1, cover_capacity // len(kets) + 1):
         counts = [round(scale * r) for r in ratios]
         if any(abs(scale * r - c) > 1e-6 for r, c in zip(ratios, counts)):
             continue
         if max(counts) > pairing_count or sum(counts) > cover_capacity:
-            continue
+            break
         # Each chosen pairing puts at most one label on a pair.
         check_parallel = bool(crowded) and sum(counts) > max_parallel
 
@@ -503,8 +504,9 @@ def search_graph_for_state(
             return sorted((u & -u, u, b) for u, b in out.items() if not (u & b or crowding(u)) and needed(idx + 1, u) <= max_edges)
 
         if needed(0, 0) > max_edges:
-            continue
+            break
         if not per_ket_options:
+            all_pairings = _covers([1] * n, pairs, pairs)
             for ket in kets:
                 # A label swapped into a cover of this ket for the edge on its
                 # pair is foreign unless a target ket differs from it only there.
@@ -534,10 +536,7 @@ def search_graph_for_state(
             for mask in sorted(group, key=lambda m: bin(m)[:1:-1].translate(flip)):
                 key = [label for r, label in enumerate(labels) if mask >> r & 1]
                 (sums,) = _cover_sums([False] * n, [(*label, 1) for label in key], radix)
-                if sums.keys() != want.keys():
-                    continue
-                norm = math.hypot(*map(abs, sums.values()))
-                if any(abs(abs(sums[c]) / norm - a) > 2 * AMP_TOL for c, a in want.items()):
+                if sorted(sums) != codes or any(sums[c] * counts[0] != sums[codes[0]] * k for c, k in zip(codes, counts)):
                     continue
                 edges = [Edge(f"e{k}", names[i], names[j], mi, mj) for k, (i, j, mi, mj) in enumerate(key)]
                 graph = ExperimentGraph(names, edges)

@@ -6,6 +6,7 @@ import cmath
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -342,6 +343,26 @@ def test_search_drops_unions_holding_a_foreign_cover(monkeypatch):
     assert len(runs) == 15 * 8 * 4
 
 
+@pytest.mark.parametrize(
+    "target, bounds",
+    [(QuantumState({(m,) * 16: 1.0 for m in range(2)}), {}),
+     (QuantumState({(0,) * 14: 1.0, (1,) * 14: math.sqrt(2)}), {"max_edges": 8})],
+    ids=["ghz16", "ratio-sqrt2-14"],
+)
+def test_search_lists_no_pairing_when_no_level_fits(monkeypatch, target, bounds):
+    """Eight edges host at most one cover of 16 photons, and no two cover
+    counts within 8 edges are in the ratio 1:sqrt(2).  No level fits either
+    target, so the search returns None without listing a pairing of K_n
+    (K16 has 2,027,025)."""
+    walks = []
+    walk = pg.states._covers
+    monkeypatch.setattr(pg.states, "_covers", lambda *args, **kwargs: walks.append(1) or walk(*args, **kwargs))
+    start = time.perf_counter()
+    assert pg.search_graph_for_state(target, **bounds) is None
+    assert time.perf_counter() - start < 1
+    assert walks == []
+
+
 @pytest.mark.parametrize("max_edges", [6, 8])
 @pytest.mark.parametrize(
     "slots, ratio",
@@ -519,6 +540,33 @@ def test_state_kernel_matches_brute_force(g):
     assert all(abs(a) > pg.states.AMP_TOL for a in state.terms.values())
     for ket in set(state.terms) | set(reference):
         assert abs(state.terms.get(ket, 0j) - reference.get(ket, 0j)) <= 1e-9
+
+
+@given(kernel_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cover_sums_keep_the_arithmetic_of_their_inputs(g, data):
+    """Integer amplitudes sum to exact ints, equal to the brute-force sums of
+    the same graph with those amplitudes; complex amplitudes stay complex."""
+    measured = [v in g.measured for v in g.vertices]
+    edges = pg.states._indexed(g, g.edges)
+    radix = pg.states._radix(edges)
+    (sums,) = pg.states._cover_sums(measured, edges, radix)
+    assert all(type(s) is complex for s in sums.values())
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+    (counts,) = pg.states._cover_sums(measured, [(*e[:4], w) for e, w in zip(edges, weights)], radix)
+    assert all(type(c) is int for c in counts.values())
+    weighted = ExperimentGraph(
+        g.vertices, [Edge(e.id, e.u, e.v, e.mode_u, e.mode_v, float(w)) for e, w in zip(g.edges, weights)], g.measured
+    )
+    kets = pg.states._decode(list(counts), radix, len(g.ket_vertices))
+    assert dict(zip(kets, counts.values())) == brute_force_state(weighted)
+
+
+def test_empty_graph_state_is_complex():
+    """A graph without vertices has one empty cover of amplitude 1 + 0j."""
+    state = pg.state_from_graph(ExperimentGraph([]))
+    assert state.terms == {(): 1} and type(state.terms[()]) is complex
+    assert '"amp_mag": 1.0,' in pg.serialize_state(state)
 
 
 def _oracle_intensity(g, edge_id, phase):
