@@ -131,7 +131,7 @@ def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple = (None,)
     cover.  No cover is enumerated.  Vertex i is measured if ``measured[i]``;
     ``edges`` are (i, j, mode_i, mode_j, amplitude) tuples with i < j.  Seeded
     with the int 1 and summed from the int 0, the sums keep the amplitudes'
-    arithmetic: complex ones bit for bit as a complex seed, ints exactly.
+    arithmetic: ints exactly, complex ones as a complex seed up to signed zeros.
 
     A ket is coded as the integer sum of mode * radix**(k - 1 - slot) over
     its k slots, so joining two partial kets is an addition and integer order
@@ -233,13 +233,13 @@ def _graph_sums(g: ExperimentGraph) -> tuple[dict[Ket, complex], complex]:
     if sums is None:
         edges = _indexed(g, g.edges)
         radix = _radix(edges)
-        # With no vertex to cover, the kernel would return its int seed 1 as the sum.
-        (raw,) = _cover_sums([v in g.measured for v in g.vertices], edges, radix) if g.vertices else ({0: 1 + 0j},)
+        (raw,) = _cover_sums([v in g.measured for v in g.vertices], edges, radix)
         if not all(map(cmath.isfinite, raw.values())):
             raise DomainError("summed cover amplitudes overflow double precision", reason="overflow")
         codes = sorted(code for code, amp in raw.items() if abs(amp) > AMP_TOL)
         kets = _decode(codes, radix, len(g.ket_vertices))
-        sums = ({ket: raw[code] for ket, code in zip(kets, codes)}, sum(raw.values(), 0j))
+        # As from a complex seed: complex, and no -0.0 part (Python 3.14 keeps it).
+        sums = ({ket: raw[code] + 0j for ket, code in zip(kets, codes)}, sum(raw.values(), 0j))
         object.__setattr__(g, "_sums", sums)
     return sums
 
@@ -408,10 +408,10 @@ def search_graph_for_state(
     that ket would be in the state.  No bound drops a set that could hit,
     so the first hit is unchanged.  The pairings of K_n and the masks of
     (3), one per ket and pairing, are built once, at the first level that
-    passes (1) at its root, and are tested only on sets within the budget.
-    No count falls as the scale grows, so the first level with more pairings
-    than K_n has, more covers than ``max_edges`` edges host, or failing (1)
-    at its root ends the search: a target no level fits lists no pairing."""
+    passes (1) at its root.  Every count is at least the scale and none
+    falls as it grows, so the scale stops at the first level with more
+    pairings than K_n has or more covers than ``max_edges`` edges host, or
+    that fails (1) at its root; a target no level fits lists no pairing."""
     for name, bound in (("max_edges", max_edges), ("max_mode", max_mode), ("max_parallel", max_parallel)):
         if bound < 0:
             raise DomainError(f"{name} must be nonnegative, got {bound}")
@@ -421,7 +421,9 @@ def search_graph_for_state(
     if not kets:
         return None
     n = len(kets[0])
-    if any(len(k) != n for k in kets) or n == 0 or n % 2 != 0 or max(map(max, kets)) > max_mode:
+    if any(len(k) != n for k in kets) or n == 0 or n % 2 != 0:
+        return None
+    if max(max(k) for k in kets) > max_mode:
         return None
     # Unit-amplitude covers add up in phase, so target amplitudes must sit on
     # the positive real axis after canonicalization.
@@ -465,8 +467,7 @@ def search_graph_for_state(
                 picked.append(k)
         spread.append(picked)
 
-    # Every ratio is at least 1, so every count is at least the scale.
-    for scale in range(1, cover_capacity // len(kets) + 1):
+    for scale in range(1, min(pairing_count, cover_capacity // len(kets)) + 1):
         counts = [round(scale * r) for r in ratios]
         if any(abs(scale * r - c) > 1e-6 for r, c in zip(ratios, counts)):
             continue

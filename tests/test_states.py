@@ -363,6 +363,25 @@ def test_search_lists_no_pairing_when_no_level_fits(monkeypatch, target, bounds)
     assert walks == []
 
 
+@pytest.mark.parametrize("ratios", [(1, math.sqrt(2), math.sqrt(3)), (1, math.sqrt(2))], ids=["sqrt2-sqrt3", "sqrt2"])
+def test_search_scale_stops_at_the_pairings_of_k_n(monkeypatch, ratios):
+    """No scale up to K8's 105 pairings rounds these 8-photon ratios to
+    counts within 1e-6, so no level is tried and none ends the search.  The
+    scale must still stop after 105 levels, though 200 edges host
+    comb(200, 4) = 64,684,950 covers."""
+    target = QuantumState({(m,) * 8: r for m, r in enumerate(ratios)})
+    calls = []
+
+    def counted_round(x):
+        calls.append(1)
+        assert len(calls) <= 105 * len(ratios), "the scale ran past the pairing count of K8"
+        return round(x)
+
+    monkeypatch.setattr(pg.states, "round", counted_round, raising=False)
+    assert pg.search_graph_for_state(target, max_edges=200) is None
+    assert len(calls) == 105 * len(ratios)
+
+
 @pytest.mark.parametrize("max_edges", [6, 8])
 @pytest.mark.parametrize(
     "slots, ratio",
@@ -567,6 +586,16 @@ def test_empty_graph_state_is_complex():
     state = pg.state_from_graph(ExperimentGraph([]))
     assert state.terms == {(): 1} and type(state.terms[()]) is complex
     assert '"amp_mag": 1.0,' in pg.serialize_state(state)
+
+
+def test_graph_state_has_no_negative_zero_part():
+    """An edge amplitude of 1 - 0j gives the state amplitude 1 + 0j, as a
+    complex kernel seed does; an int seed keeps the -0.0 on Python 3.14 and
+    later, where the document would print a phase of -0.0."""
+    g = ExperimentGraph(["a", "b"], [Edge("e", "a", "b", 0, 0, 1.0, -0.0)])
+    state = pg.state_from_graph(g)
+    assert math.copysign(1.0, state.terms[0, 0].imag) == 1.0
+    assert '"amp_phase_rad": 0.0' in pg.serialize_state(state)
 
 
 def _oracle_intensity(g, edge_id, phase):
