@@ -6,27 +6,29 @@ matrix it counts perfect matchings.  The permanent does the same job for the
 biadjacency matrix of a bipartite graph.  Both are #P-hard, so the kernels
 are exact and refuse oversized inputs instead of approximating.
 
-The hafnian expands on the lowest live index and memoizes on the set of
-live indices; each row's nonzero later columns are kept as a bitmask, so
-the expansion never visits a zero entry.  It forms the same products in the
-same order as a walk over every index, so float and complex results do not
-depend on the sparsity.  The G(n, p) ensemble, whose graphs are simple,
-counts their perfect matchings with a separate counter that adds counts
-level by level, with no multiplication and no rows.  One pass counts any
-family of simple graphs on the same vertices, such as the graphs of a
-batch of G(n, p) trials at every p of a scan: each count packs one field
-per graph into one integer, and each vertex pair carries the mask of the
-fields whose graph holds it.
+The hafnian and the perfect-matching counts of the G(n, p) ensemble share
+one counter, which works level by level: each level covers the lowest
+vertex still uncovered in every live set of uncovered vertices and carries
+the set's ways, combined with the entry of each pair that covers it, into
+the set left over, so only two levels are held at a time.  The hafnian
+combines by multiplication, so each term's product is formed left to
+right, from the pair of vertex 0 on.  The ensemble, whose graphs are
+simple, combines by ``&``: one pass counts any family of simple graphs on
+the same vertices, such as the graphs of a batch of G(n, p) trials at every
+p of a scan, since each count packs one field per graph into one integer
+and each vertex pair carries the mask of the fields whose graph holds it.
 
 Integer matrices are computed in arbitrary-precision integer arithmetic
-(counts overflow 64 bits near order 20).  Complex and float inputs use
-double precision; results should be compared at a 1e-9 tolerance.
+(counts overflow 64 bits near order 20).  Complex and float entries must
+be finite and use double precision; results should be compared at a 1e-9
+tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
 from itertools import compress
+from operator import mul
 
 from .errors import DomainError, NotBipartiteError, ScaleLimitError
 from .graph import ExperimentGraph
@@ -47,11 +49,14 @@ def _validate_square(matrix) -> int:
     if not isinstance(matrix, (list, tuple)):
         raise DomainError("matrix must be a list of rows")
     n = len(matrix)
-    for row in matrix:
+    for i, row in enumerate(matrix):
         if not isinstance(row, (list, tuple)):
             raise DomainError("matrix must be a list of rows")
         if len(row) != n:
             raise DomainError(f"matrix must be square, got a row of length {len(row)} for order {n}")
+        for j, entry in enumerate(row):
+            if isinstance(entry, (float, complex)) and not cmath.isfinite(entry):
+                raise DomainError(f"matrix entry ({i},{j}) is not finite: {entry!r}")
     return n
 
 
@@ -76,87 +81,72 @@ def _finite(kernel, *args):
 def hafnian(matrix, *, override_limits: bool = False):
     """Sum over all perfect pairings {(i1,j1),...} of prod matrix[i][j].
 
-    Recursive expansion on the first remaining index with memoization on the
-    set of live indices.  The validation pass records, per row, a bitmask of
-    the later columns holding a nonzero entry, and the expansion walks only
-    those, so sparse adjacency matrices stay fast.  Requires an even order,
-    exact symmetry and a zero diagonal."""
+    The level-by-level matching counter multiplies the entries right of the
+    diagonal along every perfect pairing of nonzero entries, so sparse
+    adjacency matrices stay fast.  Requires an even order, exact symmetry
+    and a zero diagonal.  The result is a float or complex number if the
+    counter meets a float or complex entry, so a float matrix with no
+    perfect pairing gives 0.0, unless its first row is all zero."""
     n = _validate_square(matrix)
     if n % 2 != 0:
         raise DomainError(f"hafnian needs an even order, got {n}")
     if not override_limits:
         _check_hafnian_order(n)
-    nonzero = [0] * n
-    for i in range(n):
-        row = matrix[i]
+    for i, row in enumerate(matrix):
         if row[i] != 0:
             raise DomainError(f"hafnian needs a zero diagonal, entry ({i},{i}) is {row[i]!r}")
-        mask = 0
         for j in range(i + 1, n):
-            entry = row[j]
-            if entry != matrix[j][i]:
+            if row[j] != matrix[j][i]:
                 raise DomainError(f"matrix is not symmetric at ({i},{j})")
-            if entry != 0:
-                mask |= 1 << j
-        nonzero[i] = mask
-
-    memo: dict[int, object] = {0: 1}
-
-    def rec(mask: int):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        row = matrix[low]
-        total = 0
-        sub = nonzero[low] & rest
-        while sub:
-            bit = sub & -sub
-            sub ^= bit
-            left = rest ^ bit
-            value = memo.get(left)
-            if value is None:
-                value = rec(left)
-            total += row[bit.bit_length() - 1] * value
-        memo[mask] = total
-        return total
-
-    total = _finite(rec, (1 << n) - 1) if n else 1
-    rec = None  # the closure refers to itself; drop the cycle before returning
-    return total
+    return _finite(_matching_sum, matrix, 1, mul)
 
 
-def _unit_matchings(keep: list[list[int]], start: int) -> int:
-    """Numbers of perfect matchings of a family of simple graphs on the
-    same ``len(keep)`` vertices, an even number >= 2, packed one field per
-    graph into one integer.  ``keep[i][j]``, for i < j, masks the fields of
-    the graphs that join vertices i and j (0 if none), and ``start`` holds
-    one way into each graph's field.  Each field must be wide enough for
+def _matching_sum(entries: list[list], start, combine):
+    """Sum, over the perfect matchings of ``len(entries)`` vertices (an even
+    number) by pairs with a nonzero entry, of ``start`` combined with each
+    matched pair's entry in turn, lowest vertex first.  ``entries[i][j]``,
+    for i < j, is the entry of pair (i, j) (0 if none); only these are
+    read.
+
+    ``hafnian`` combines by multiplication.  The G(n, p) scans count a
+    family of simple graphs on the same vertices in one pass, packed one
+    field per graph into one integer: an entry masks the fields of the
+    graphs that hold the pair, ``start`` holds one way into each graph's
+    field, and they combine by ``&``.  Each field must be wide enough for
     (n - 1)!!, the most matchings of any set of at most n vertices, so no
     carry crosses fields.
 
     Each level covers the lowest vertex still uncovered in every live set
-    of uncovered vertices, one pair at a time, and adds the set's ways,
-    masked to the graphs that hold the pair, into the set left over; a pair
-    that no graph with ways into the set holds is skipped, so the live sets
-    are those of the union graph that some graph reaches.  After n / 2
-    levels only the empty set is left, holding the counts."""
-    n = len(keep)
+    of uncovered vertices, one pair at a time, and adds the set's combined
+    ways into the set left over; an integer zero is dropped, so a packed
+    count lives only in the sets that some graph reaches.  After n / 2
+    levels only the empty set is left, holding the sum.  The sum takes the
+    widest type that any live set's ways took, even a set with no way on to
+    a matching, so a float entry that the walk meets gives a float sum."""
+    n = len(entries)
     bits = [1 << j for j in range(n)]
-    pairs = [list(compress(zip(bits, row), row)) for row in keep]  # a pair j <= i never meets rest
+    pairs = []  # per vertex, the bit of each later vertex it has a nonzero entry with, and the entry
+    for i, row in enumerate(entries):
+        later = row[i + 1:]
+        pairs.append(list(compress(zip(bits[i + 1:], later), later)))
     level = {(1 << n) - 1: start}
+    zero = 0  # of the widest type any live set's ways took
     for _ in range(n // 2):
-        following: dict[int, int] = {}
+        following = {}
         get = following.get
         for live, ways in level.items():
             low = live & -live
             rest = live ^ low
-            for bit, mask in pairs[low.bit_length() - 1]:
+            for bit, entry in pairs[low.bit_length() - 1]:
                 if bit & rest:
-                    kept = ways & mask
-                    if kept:
+                    kept = combine(ways, entry)
+                    if kept or type(kept) is not int:
                         left = rest ^ bit
                         following[left] = get(left, 0) + kept
         level = following
-    return level.get(0, 0)
+        for kind in set(map(type, level.values())):
+            zero += kind()
+    return level.get(0, 0) + zero
 
 
 def permanent(matrix, *, override_limits: bool = False):

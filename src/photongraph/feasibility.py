@@ -4,11 +4,12 @@ Both checks read a graph as one bitmask of neighbours per vertex, indexed
 in declaration order, as the bipartition does.  For bipartite graphs with
 equal parts, a perfect matching exists iff every subset W of part X sees at
 least |W| neighbors in Y; the checker returns an explicit matching
-(augmenting paths) or a violating subset harvested from the final
-alternating forest.  For general graphs the criterion is that deleting any
-vertex set U leaves at most |U| odd components; the checker returns a
-matching found by backtracking, skipping vertex sets from which the search
-already failed, or a minimal violating subset.
+(augmenting paths) or a violating subset read from the Y vertices that
+the final, failing searches from the unmatched X vertices reach.  For
+general graphs the criterion is that deleting any vertex set U leaves at
+most |U| odd components; the checker returns a matching found by
+backtracking, skipping vertex sets from which the search already failed,
+or a minimal violating subset.
 """
 
 from __future__ import annotations
@@ -88,29 +89,23 @@ def hall_check(
         visited = 0
         if not augment(x):
             unmatched.append(x)
+    # The matching is now maximum, so a search from each unmatched X vertex
+    # fails and changes no partner; under one visited set, never reset, the
+    # searches mark every Y vertex an alternating path reaches.  Each is
+    # matched, and W, the unmatched vertices and those partners, has
+    # N(W) = visited, so |N(W)| = |W| - |unmatched| < |W|.
+    visited = 0
+    for x in unmatched:
+        if augment(x):
+            raise AssertionError("an augmenting path survived Kuhn's algorithm")
     augment = None  # the closure refers to itself; drop the cycle before returning
     if not unmatched:
         return _matching_edge_ids(g, ((x, y) for y, x in enumerate(match_of_y) if x >= 0))
-
-    # Alternating reachability from every unmatched X vertex: each reachable
-    # Y vertex is matched (else an augmenting path existed) and N(W) stays
-    # inside the reachable set, so |N(W)| = |W| - |unmatched| < |W|.
-    reachable_x = sum(1 << x for x in unmatched)
-    reachable_y = 0
-    frontier = list(unmatched)
-    for x in frontier:  # each reached partner joins the end: breadth first
-        new = masks[x] & ~reachable_y
-        reachable_y |= new
-        for y in _bits(new):
-            partner = match_of_y[y]
-            if not reachable_x >> partner & 1:
-                reachable_x |= 1 << partner
-                frontier.append(partner)
-
-    assert reachable_y.bit_count() < reachable_x.bit_count()
+    reachable_x = sum(1 << x for x in unmatched) | sum(1 << match_of_y[y] for y in _bits(visited))
+    assert visited.bit_count() < reachable_x.bit_count()
     return HallWitness(
         tuple(g.vertices[i] for i in _bits(reachable_x)),
-        tuple(g.vertices[i] for i in _bits(reachable_y)),
+        tuple(g.vertices[i] for i in _bits(visited)),
     )
 
 

@@ -13,10 +13,11 @@ its draw (so a trial's graph at p is ``random_graph(n, p, trial_seed(seed,
 trial))``, and its graphs are nested as p grows).  Each edge gets the tier
 of the smallest p that holds it.  A batch of trials is packed into one
 integer per vertex pair, with a byte-aligned slot per trial and a field per
-p that is set where the pair is an edge, and the unit-graph matching counter
-of :mod:`~photongraph.counting` counts every trial's graph at every p in one
-pass, giving the hafnian of each graph's adjacency matrix.  Since no trial
-calls ``hafnian``, a scan applies its order guard itself, before any
+p that is set where the pair is an edge, and the matching counter behind
+:func:`~photongraph.counting.hafnian`, combining by ``&``, counts every
+trial's graph at every p in one pass, giving the hafnian of each graph's
+adjacency matrix.  Since the trials run that counter without calling
+``hafnian``, a scan applies the hafnian's order guard itself, before any
 sampling.  With several workers, at most one per core and per trial, the
 caller counts one contiguous trial range and forks a child per other range,
 which pipes its histograms back as ``marshal`` bytes and counts its range in
@@ -33,9 +34,9 @@ from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from itertools import compress
-from operator import gt
+from operator import and_, gt
 
-from .counting import _check_hafnian_order, _unit_matchings
+from .counting import _check_hafnian_order, _matching_sum
 from .errors import DomainError, PhotonGraphError
 from .graph import ExperimentGraph, _Record, _gnp_draws
 
@@ -85,7 +86,7 @@ def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> li
     an edge at every p above its draw.  A trial whose largest graph has an
     isolated vertex counts 0 at every p; the others are packed
     :func:`_batch_size` at a time, one byte-aligned slot per trial with a
-    field per p, and the unit-graph counter counts a whole batch in one
+    field per p, and the matching counter counts a whole batch in one
     pass."""
     tiers = sorted(set(p_values))
     above = partial(gt, tiers[-1])  # an edge of the largest graph, for a p of any real type
@@ -109,7 +110,7 @@ def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> li
         for k in compress(range(len(pairs)), held.to_bytes(len(pairs), "little")):
             i, j = pairs[k]
             keep[i][j] = int.from_bytes(b"".join([marks[bisect_right(tiers, draws[k])] for draws in batch]), "little")
-        total = _unit_matchings(keep, int.from_bytes(ones * len(batch), "little"))
+        total = _matching_sum(keep, int.from_bytes(ones * len(batch), "little"), and_)
         raw = total.to_bytes(len(batch) * slot, "little")
         values = [int.from_bytes(raw[k:k + slot], "little") for k in range(0, len(raw), slot)]
         for counts, shift in zip(histograms, shifts):

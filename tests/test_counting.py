@@ -26,6 +26,8 @@ def test_hafnian_empty_matrix():
 
 def test_hafnian_k6_adjacency():
     assert pg.hafnian(pg.complete_graph(6).adjacency()) == 15
+    for m in range(1, 11):  # up to K20, (2m - 1)!! matchings
+        assert pg.hafnian(pg.complete_graph(2 * m).adjacency()) == pg.count_pm_formula(m)
 
 
 def test_hafnian_double_edge_multiplicity():
@@ -54,6 +56,16 @@ def test_hafnian_rejects_nonzero_diagonal():
         pg.hafnian([[1, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("kernel", [pg.hafnian, pg.permanent])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(math.inf, 1)])
+def test_non_finite_entries_are_refused_by_name(kernel, bad):
+    m = [[0, bad], [bad, 0]]
+    with pytest.raises(pg.DomainError) as err:
+        kernel(m)
+    assert str(err.value) == f"matrix entry (0,1) is not finite: {bad!r}"
+    assert err.value.reason == "domain-error"
+
+
 def test_hafnian_scale_guard():
     n = 26
     m = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
@@ -61,17 +73,28 @@ def test_hafnian_scale_guard():
         pg.hafnian(m)
 
 
+def _block_diagonal(a, b):
+    k, n = len(a), len(a) + len(b)
+    return [
+        [a[i][j] if i < k and j < k else (b[i - k][j - k] if i >= k and j >= k else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def test_hafnian_block_diagonal_product():
     rng = random.Random(9)
     for _ in range(10):
         a = _random_symmetric(rng, 4)
         b = _random_symmetric(rng, 6)
-        block = [
-            [a[i][j] if i < 4 and j < 4 else (b[i - 4][j - 4] if i >= 4 and j >= 4 else 0)
-             for j in range(10)]
-            for i in range(10)
-        ]
+        block = _block_diagonal(a, b)
         assert pg.hafnian(block) == pg.hafnian(a) * pg.hafnian(b)
+    # order 26, past the order guard: the counter's live sets cover the
+    # first block before they reach the second, so this stays cheap
+    a = _random_symmetric(rng, 12)
+    b = _random_symmetric(rng, 14)
+    block = _block_diagonal(a, b)
+    assert pg.hafnian(block, override_limits=True) == pg.hafnian(a) * pg.hafnian(b) != 0
 
 
 def _random_symmetric(rng, n):
@@ -150,8 +173,21 @@ def test_permanent_is_invariant_under_row_and_column_permutations(pair):
 
 def test_hafnian_result_types():
     k4 = pg.complete_graph(4).adjacency()
-    for entry, expected in ((1, 3), (1.0, 3.0), (True, 3), (2, 12)):
+    # entries whose products underflow keep the float or complex type
+    for entry, expected in ((1, 3), (1.0, 3.0), (True, 3), (2, 12), (1e-200, 0.0), (complex(1e-200, 0), 0j)):
         value = pg.hafnian([[entry if x else 0 for x in row] for row in k4])
+        assert value == expected and type(value) is type(expected)
+
+
+def test_hafnian_type_follows_every_entry_the_counter_meets():
+    # a float matrix with no perfect pairing, and a float entry that leads
+    # to no pairing next to integer ones, give floats; a first row of zeros
+    # ends the count before any entry is met
+    no_pairing = [[0, 1.0, 2.0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0], [0, 0, 0, 0]]
+    dead_end = [[0, 1, 0.5, 0], [1, 0, 0, 0], [0.5, 0, 0, 1], [0, 0, 1, 0]]
+    empty_row = [[0, 0, 0, 0], [0, 0, 0, 1.0], [0, 0, 0, 0], [0, 1.0, 0, 0]]
+    for m, expected in ((no_pairing, 0.0), (dead_end, 1.0), (empty_row, 0)):
+        value = pg.hafnian(m)
         assert value == expected and type(value) is type(expected)
 
 
@@ -169,8 +205,10 @@ def test_hafnian_matches_oracle_on_sparse_complex_matrices(m):
 
 def _packed_counts(n: int, graphs: list[list[tuple[int, int]]]) -> list[int]:
     """Matching counts of each graph, given as its vertex pairs i < j, from
-    one pass of the unit-graph counter with a field per graph."""
-    from photongraph.counting import _unit_matchings
+    one pass of the matching counter with a field per graph."""
+    from operator import and_
+
+    from photongraph.counting import _matching_sum
 
     width = math.prod(range(n - 1, 0, -2)).bit_length()
     field = (1 << width) - 1
@@ -178,7 +216,7 @@ def _packed_counts(n: int, graphs: list[list[tuple[int, int]]]) -> list[int]:
     for k, graph in enumerate(graphs):
         for i, j in graph:
             keep[i][j] |= field << k * width
-    total = _unit_matchings(keep, sum(1 << k * width for k in range(len(graphs))))
+    total = _matching_sum(keep, sum(1 << k * width for k in range(len(graphs))), and_)
     return [total >> k * width & field for k in range(len(graphs))]
 
 
