@@ -27,7 +27,7 @@ tolerance.
 from __future__ import annotations
 
 import cmath
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
 
 from .errors import DomainError, NotBipartiteError, ScaleLimitError
@@ -84,9 +84,10 @@ def hafnian(matrix, *, override_limits: bool = False):
     The level-by-level matching counter multiplies the entries right of the
     diagonal along every perfect pairing of nonzero entries, so sparse
     adjacency matrices stay fast.  Requires an even order, exact symmetry
-    and a zero diagonal.  The result is a float or complex number if the
-    counter meets a float or complex entry, so a float matrix with no
-    perfect pairing gives 0.0, unless its first row is all zero."""
+    and a zero diagonal.  The result takes the widest type of all the
+    matrix's entries, int < float < complex (bool counts as int), so a
+    relabelling, which permutes the entries, cannot change it, and a float
+    matrix with no perfect pairing gives 0.0."""
     n = _validate_square(matrix)
     if n % 2 != 0:
         raise DomainError(f"hafnian needs an even order, got {n}")
@@ -98,7 +99,8 @@ def hafnian(matrix, *, override_limits: bool = False):
         for j in range(i + 1, n):
             if row[j] != matrix[j][i]:
                 raise DomainError(f"matrix is not symmetric at ({i},{j})")
-    return _finite(_matching_sum, matrix, 1, mul)
+    zero = sum(kind() for kind in set(map(type, chain.from_iterable(matrix))))
+    return _finite(lambda: _matching_sum(matrix, 1, mul) + zero)
 
 
 def _matching_sum(entries: list[list], start, combine):
@@ -118,11 +120,9 @@ def _matching_sum(entries: list[list], start, combine):
 
     Each level covers the lowest vertex still uncovered in every live set
     of uncovered vertices, one pair at a time, and adds the set's combined
-    ways into the set left over; an integer zero is dropped, so a packed
-    count lives only in the sets that some graph reaches.  After n / 2
-    levels only the empty set is left, holding the sum.  The sum takes the
-    widest type that any live set's ways took, even a set with no way on to
-    a matching, so a float entry that the walk meets gives a float sum."""
+    ways into the set left over; a zero is dropped, so a packed count lives
+    only in the sets that some graph reaches.  After n / 2 levels only the
+    empty set is left, holding the sum, or none: then the sum is 0."""
     n = len(entries)
     bits = [1 << j for j in range(n)]
     pairs = []  # per vertex, the bit of each later vertex it has a nonzero entry with, and the entry
@@ -130,7 +130,6 @@ def _matching_sum(entries: list[list], start, combine):
         later = row[i + 1:]
         pairs.append(list(compress(zip(bits[i + 1:], later), later)))
     level = {(1 << n) - 1: start}
-    zero = 0  # of the widest type any live set's ways took
     for _ in range(n // 2):
         following = {}
         get = following.get
@@ -140,13 +139,11 @@ def _matching_sum(entries: list[list], start, combine):
             for bit, entry in pairs[low.bit_length() - 1]:
                 if bit & rest:
                     kept = combine(ways, entry)
-                    if kept or type(kept) is not int:
+                    if kept:
                         left = rest ^ bit
                         following[left] = get(left, 0) + kept
         level = following
-        for kind in set(map(type, level.values())):
-            zero += kind()
-    return level.get(0, 0) + zero
+    return level.get(0, 0)
 
 
 def permanent(matrix, *, override_limits: bool = False):

@@ -179,16 +179,52 @@ def test_hafnian_result_types():
         assert value == expected and type(value) is type(expected)
 
 
-def test_hafnian_type_follows_every_entry_the_counter_meets():
+def test_hafnian_type_follows_every_entry():
     # a float matrix with no perfect pairing, and a float entry that leads
-    # to no pairing next to integer ones, give floats; a first row of zeros
-    # ends the count before any entry is met
+    # to no pairing next to integer ones, give floats whatever the vertex
+    # order, and so does a float entry behind a first row of zeros
     no_pairing = [[0, 1.0, 2.0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0], [0, 0, 0, 0]]
     dead_end = [[0, 1, 0.5, 0], [1, 0, 0, 0], [0.5, 0, 0, 1], [0, 0, 1, 0]]
+    dead_end_swapped = [[0, 1, 0, 0], [1, 0, 0.5, 0], [0, 0.5, 0, 1], [0, 0, 1, 0]]  # vertices 0 and 1 swapped
     empty_row = [[0, 0, 0, 0], [0, 0, 0, 1.0], [0, 0, 0, 0], [0, 1.0, 0, 0]]
-    for m, expected in ((no_pairing, 0.0), (dead_end, 1.0), (empty_row, 0)):
+    for m, expected in ((no_pairing, 0.0), (dead_end, 1.0), (dead_end_swapped, 1.0), (empty_row, 0.0)):
         value = pg.hafnian(m)
         assert value == expected and type(value) is type(expected)
+
+
+_WIDTH = {bool: 0, int: 0, float: 1, complex: 2}
+
+
+@st.composite
+def relabelled_mixed_matrices(draw):
+    """A symmetric matrix of even order <= 10 with a zero diagonal whose
+    entries, the diagonal and both mirror entries of a pair included, are
+    each an int, float or complex (or bool) of one small integer value, and
+    P A P^T for a random permutation P."""
+    n = 2 * draw(st.integers(min_value=0, max_value=5))
+
+    def entry(value: int):
+        kinds = (int, float, complex) + ((bool,) if value in (0, 1) else ())
+        return draw(st.sampled_from(kinds))(value)
+
+    m = [[entry(0) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = draw(st.integers(min_value=-2, max_value=2))
+            m[i][j], m[j][i] = entry(value), entry(value)
+    p = draw(st.permutations(range(n)))
+    return m, [[m[i][j] for j in p] for i in p]
+
+
+@given(relabelled_mixed_matrices())
+@settings(max_examples=150, deadline=None)
+def test_hafnian_type_is_the_widest_entry_type_under_relabelling(pair):
+    m, _ = pair
+    widest = max((type(x) for row in m for x in row), key=_WIDTH.__getitem__, default=int)
+    exact = pg.hafnian([[int(x.real) for x in row] for row in m])
+    for matrix in pair:
+        value = pg.hafnian(matrix)
+        assert type(value) is (int if widest is bool else widest) and value == exact
 
 
 _parts = st.floats(min_value=-2.0, max_value=2.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph
+from photongraph.matching import _covers
 
 from fixt import cycle_graph, four_layer6, k4_ghz, k6_factored, layered6, path_graph
 from oracles import brute_force_covers, max_disjoint_covers, naive_factorizations, naive_ghz_family
@@ -182,22 +184,33 @@ def test_cover_walk_is_invariant_and_counts_the_hafnian(graphs):
         assert len(covers) == (pg.hafnian(g.adjacency()) if len(g.vertices) % 2 == 0 else 0)
 
 
+@contextmanager
+def _collector(enabled: bool):
+    """The cyclic collector switched on or off for the block, and put back
+    as it was after it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_enumeration_leaves_no_garbage_cycle():
     g = pg.complete_graph(12)
-    enabled = gc.isenabled()
     gc.collect()
-    gc.disable()
-    try:
+    with _collector(False):
         pg.enumerate_pm(g, override_limits=True)
         assert gc.collect() == 0
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _ghz(n: int, d: int) -> pg.QuantumState:
     return pg.QuantumState({(m,) * n: 1.0 for m in range(d)})
 
+
+# Two measured vertices, the first of them vertex 0, so the cover walk's
+# first step takes two edges at once.
+_MERGED = pg.merge_graphs(k4_ghz(("a", "b", "c", "d")), k4_ghz(("e", "f", "g", "h")), [("a", "e"), ("b", "f")])
 
 _C4 = ExperimentGraph(["x0", "x1", "y0", "y1"], [Edge("a", "x0", "y0"), Edge("b", "x0", "y1"),
                                                   Edge("c", "x1", "y0"), Edge("d", "x1", "y1")])
@@ -209,6 +222,9 @@ _C4 = ExperimentGraph(["x0", "x1", "y0", "y1"], [Edge("a", "x0", "y0"), Edge("b"
         pytest.param(lambda: pg.search_graph_for_state(_ghz(8, 2)), id="search-ghz8x2"),
         pytest.param(lambda: pg.search_graph_for_state(_ghz(4, 3)), id="search-ghz4x3"),
         pytest.param(lambda: pg.enumerate_factorizations(pg.complete_graph(8)), id="enumerate_factorizations"),
+        pytest.param(lambda: pg.enumerate_factorizations(_complete_bipartite(4)), id="enumerate_factorizations-K44"),
+        pytest.param(lambda: pg.enumerate_pm(_MERGED), id="enumerate_pm-measured"),
+        pytest.param(lambda: pg.classify_layers(k6_factored()), id="classify_layers-K6"),
         pytest.param(lambda: pg.max_disjoint_pms(pg.complete_graph(8)), id="max_disjoint_pms"),
         pytest.param(lambda: pg.scan_ghz_dimension(8), id="scan_ghz_dimension"),
         pytest.param(lambda: pg.tutte_check(pg.complete_graph(8)), id="tutte_check"),
@@ -221,16 +237,73 @@ _C4 = ExperimentGraph(["x0", "x1", "y0", "y1"], [Edge("a", "x0", "y0"), Edge("b"
 def test_kernel_leaves_no_garbage_cycle(call):
     """A kernel's recursive closures refer to themselves; each call drops
     them before it returns, so nothing it built waits for the collector."""
-    enabled = gc.isenabled()
     gc.collect()
-    gc.disable()
-    try:
+    with _collector(False):
         result = call()
         assert gc.collect() == 0
         assert result is not None
-    finally:
-        if enabled:
-            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: pg.enumerate_pm(_MERGED), None, id="enumerate_pm"),
+        pytest.param(lambda: pg.enumerate_pm(pg.complete_graph(12)), pg.ScaleLimitError, id="enumerate_pm-guard"),
+        pytest.param(lambda: pg.classify_layers(k6_factored()), None, id="classify_layers"),
+        pytest.param(lambda: pg.classify_layers(pg.complete_graph(4)), pg.DomainError, id="classify_layers-untagged"),
+        pytest.param(lambda: pg.enumerate_factorizations(pg.complete_graph(6)), None, id="enumerate_factorizations"),
+        pytest.param(lambda: pg.enumerate_factorizations(path_graph(4)), pg.DomainError,
+                     id="enumerate_factorizations-irregular"),
+        pytest.param(lambda: pg.enumerate_factorizations(pg.complete_graph(12)), pg.ScaleLimitError,
+                     id="enumerate_factorizations-guard"),
+    ],
+)
+def test_listings_leave_the_collector_as_they_found_it(call, error, enabled):
+    with _collector(enabled):
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert gc.isenabled() is enabled
+
+
+class _RecordingLabels:
+    """Edge labels that note whether the collector is on when read."""
+
+    def __init__(self, labels):
+        self.labels = labels
+        self.seen: list[bool] = []
+
+    def __iter__(self):
+        self.seen.append(gc.isenabled())
+        return iter(self.labels)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_the_collector_is_off_while_a_listing_walks(enabled):
+    """The cover walk reads its labels with the collector off, and no
+    collection runs during a whole factorization listing, whose nested
+    cover walk must not switch the collector back on when it returns."""
+    labels = _RecordingLabels(list("uvwxyz"))
+    phases: list[str] = []
+
+    def note(phase, info):
+        phases.append(phase)
+
+    with _collector(enabled):
+        gc.callbacks.append(note)
+        try:
+            covers = _covers([1] * 4, list(combinations(range(4), 2)), labels)
+            factorizations = pg.enumerate_factorizations(pg.complete_graph(8))
+        finally:
+            gc.callbacks.remove(note)
+        assert gc.isenabled() is enabled
+    assert covers == [("u", "z"), ("v", "y"), ("w", "x")]
+    assert len(factorizations) == 6240
+    assert labels.seen == [False]
+    assert phases == []
 
 
 @pytest.mark.parametrize(
