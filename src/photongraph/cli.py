@@ -389,7 +389,8 @@ _COMMANDS = {
         _arg("--trials", type=int, required=True),
         _arg("--seed", type=int, required=True),
         _arg("--threads", type=int, default=1,
-             help="worker processes, the calling one included, capped at the core count"),
+             help="worker processes, the calling one included, capped at the core count and at one worker "
+                  "per whole batch of trials"),
         _arg("--csv", help="write (p, fraction, count, frequency) rows here"),
     ]),
     "dot": (_cmd_dot, "common", "DOT export", [_arg("graph")]),

@@ -99,8 +99,14 @@ def hafnian(matrix, *, override_limits: bool = False):
         for j in range(i + 1, n):
             if row[j] != matrix[j][i]:
                 raise DomainError(f"matrix is not symmetric at ({i},{j})")
-    zero = sum(kind() for kind in set(map(type, chain.from_iterable(matrix))))
-    return _finite(lambda: _matching_sum(matrix, 1, mul) + zero)
+    return _finite(lambda: _matching_sum(matrix, 1, mul) + _widest_zero(matrix))
+
+
+def _widest_zero(matrix):
+    """0 of the widest type among all the matrix's entries, int < float <
+    complex: added to a kernel's result, it gives the result that type
+    whatever the order in which the kernel met the entries."""
+    return sum(kind() for kind in set(map(type, chain.from_iterable(matrix))))
 
 
 def _matching_sum(entries: list[list], start, combine):
@@ -150,11 +156,13 @@ def permanent(matrix, *, override_limits: bool = False):
     """Ryser inclusion-exclusion with Gray-code column updates:
     perm(A) = (-1)^n sum_{S nonempty} (-1)^{|S|} prod_i sum_{j in S} a_ij.
 
-    Exact for integer inputs; O(2^n * n) time."""
+    Exact for integer inputs; O(2^n * n) time.  As for :func:`hafnian`, the
+    result takes the widest type of all the matrix's entries, so permuting
+    rows or columns, or transposing, cannot change it."""
     n = _validate_square(matrix)
     if not override_limits and n > PERMANENT_ORDER_LIMIT:
         raise ScaleLimitError(f"permanent order {n} exceeds the guard (<= {PERMANENT_ORDER_LIMIT})")
-    return _finite(_ryser, matrix, n) if n else 1
+    return _finite(lambda: _ryser(matrix, n) + _widest_zero(matrix)) if n else 1
 
 
 def _ryser(matrix, n: int):

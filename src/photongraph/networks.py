@@ -18,10 +18,11 @@ p that is set where the pair is an edge, and the matching counter behind
 trial's graph at every p in one pass, giving the hafnian of each graph's
 adjacency matrix.  Since the trials run that counter without calling
 ``hafnian``, a scan applies the hafnian's order guard itself, before any
-sampling.  With several workers, at most one per core and per trial, the
-caller counts one contiguous trial range and forks a child per other range,
-which pipes its histograms back as ``marshal`` bytes and counts its range in
-batches of its own (only the network terms import :mod:`~photongraph.states`).
+sampling.  With several workers, capped at the core count and at one worker
+per whole batch of trials, the caller counts one contiguous trial range and
+forks a child per other range, which pipes its histograms back as
+``marshal`` bytes and counts its range in batches of its own (only the
+network terms import :mod:`~photongraph.states`).
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ def _batch_size(n: int, top, slot: int) -> int:
     return max(1, _BATCH_BITS // (8 * slot))
 
 
+def _packing(n: int, p_values: list) -> tuple[list, int, int, int]:
+    """How a scan packs its counts: the distinct p in increasing order (its
+    tiers), the bits of one count field, the bytes of a trial's slot, which
+    holds a field per tier, and the trials of a batch."""
+    tiers = sorted(set(p_values))
+    width = math.prod(range(n - 1, 0, -2)).bit_length()
+    slot = -(-len(tiers) * width // 8)
+    return tiers, width, slot, _batch_size(n, tiers[-1], slot)
+
+
 def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> list[Counter]:
     """Histograms of perfect-matching counts over trials ``start..stop-1``,
     one per p in the given order.  A trial is seeded and drawn once: each
@@ -88,11 +99,8 @@ def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> li
     :func:`_batch_size` at a time, one byte-aligned slot per trial with a
     field per p, and the matching counter counts a whole batch in one
     pass."""
-    tiers = sorted(set(p_values))
+    tiers, width, slot, size = _packing(n, p_values)
     above = partial(gt, tiers[-1])  # an edge of the largest graph, for a p of any real type
-    width = math.prod(range(n - 1, 0, -2)).bit_length()
-    slot = -(-len(tiers) * width // 8)
-    size = _batch_size(n, tiers[-1], slot)
     shifts = range(0, len(tiers) * width, width)
     field = (1 << width) - 1
     # a pair of tier t is an edge in fields t and up; tier len(tiers) in none
@@ -183,11 +191,11 @@ def ensemble_scan(
     full count histogram.  A trial is sampled and counted once for all p:
     its graphs are nested, and a report equals that of a one-p scan.  Every
     argument, and the hafnian order guard on ``n``, is checked before any
-    sampling.  ``workers`` processes (at most one per core and per trial)
-    each count one trial range in batches of their own: the caller counts
-    the first and adds the histograms of ``workers - 1`` forked children,
-    which never outlive the call.  Without ``os.fork`` it runs serially; with no p
-    it samples nothing."""
+    sampling.  ``workers`` processes, capped at the core count and at one
+    worker per whole batch of trials, each count one trial range in batches
+    of their own: the caller counts the first and adds the histograms of the
+    other workers, forked children which never outlive the call.  Without
+    ``os.fork`` it runs serially; with no p it samples nothing."""
     if n % 2 != 0 or n < 2:
         raise DomainError(f"vertex count must be even and >= 2 for matching statistics, got {n}")
     if trials < 1:
@@ -201,7 +209,9 @@ def ensemble_scan(
     _check_hafnian_order(n)
     if not p_values:
         return []
-    workers = min(workers, os.cpu_count() or 1, trials) if hasattr(os, "fork") else 1
+    # a share of less than one batch is worth less than the fork that counts it
+    batches = max(1, trials // _packing(n, p_values)[-1])
+    workers = min(workers, os.cpu_count() or 1, batches) if hasattr(os, "fork") else 1
     bounds = [trials * k // workers for k in range(workers + 1)]
     children = []
     try:  # extend keeps the children forked before a failed fork

@@ -227,6 +227,44 @@ def test_hafnian_type_is_the_widest_entry_type_under_relabelling(pair):
         assert type(value) is (int if widest is bool else widest) and value == exact
 
 
+def test_permanent_type_follows_every_entry():
+    # a float row after an all-int zero row gives a float, as before it
+    for m in ([[0, 0], [1.0, 1.0]], [[1.0, 1.0], [0, 0]]):
+        value = pg.permanent(m)
+        assert value == 0.0 and type(value) is float
+
+
+@st.composite
+def permuted_mixed_matrices(draw):
+    """A square matrix of order <= 6 whose entries are each an int, float or
+    complex (or bool) of one small integer value, half of them zeros, so
+    zero row sums come often, and P A Q and its transpose for random
+    permutations P and Q."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    values = st.one_of(st.just(0), st.integers(min_value=-2, max_value=2))
+
+    def entry(value: int):
+        kinds = (int, float, complex) + ((bool,) if value in (0, 1) else ())
+        return draw(st.sampled_from(kinds))(value)
+
+    m = [[entry(draw(values)) for _ in range(n)] for _ in range(n)]
+    p = draw(st.permutations(range(n)))
+    q = draw(st.permutations(range(n)))
+    permuted = [[m[i][j] for j in q] for i in p]
+    return m, permuted, [list(col) for col in zip(*permuted)]
+
+
+@given(permuted_mixed_matrices())
+@settings(max_examples=150, deadline=None)
+def test_permanent_value_and_type_survive_permutations_and_transposition(matrices):
+    m = matrices[0]
+    widest = max((type(x) for row in m for x in row), key=_WIDTH.__getitem__, default=int)
+    exact = pg.permanent([[int(x.real) for x in row] for row in m])
+    for matrix in matrices:
+        value = pg.permanent(matrix)
+        assert type(value) is (int if widest is bool else widest) and value == exact
+
+
 _parts = st.floats(min_value=-2.0, max_value=2.0)
 
 

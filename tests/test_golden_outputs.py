@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
+import os
 import random
 import sys
 
@@ -100,11 +101,16 @@ def test_ghz10_search_golden():
 ENSEMBLE_GOLDEN_SHA256 = "23e3015a4bea17bea0ee86829c0a9f2f086e78dc7a9de51dab5fd1875d89dd81"
 
 
-def test_ensemble_outputs_golden():
+def test_ensemble_outputs_golden(monkeypatch):
     """Histograms of ``ensemble_scan`` with one and two workers, and the
     documents of seeded ``random_graph`` samples, byte for byte."""
+    from photongraph import networks
+
     digest = hashlib.sha256()
     for workers in (1, 2):
+        if workers == 2:  # two cores and batches of 8 trials, so the 40-trial scans fork a child
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(networks, "_batch_size", lambda *args: 8)
         for n in range(2, 13, 2):
             reports = pg.ensemble_scan(n, [0.0, 0.3, 0.5, 0.7, 1.0], 40, 1000 + n, workers=workers)
             digest.update(repr([(r.p, r.pm_exists_fraction, r.pm_count_histogram) for r in reports]).encode())
@@ -421,10 +427,10 @@ def test_matchability_outputs_golden():
 
 # argparse words and wraps help differently from one Python version to the next
 CLI_HELP_GOLDEN_SHA256 = {
-    (3, 10): "2e071fb91b549b8b6fb0f72b75a515390d738c38f86c58b76e1b1ed711f16666",
-    (3, 11): "2e071fb91b549b8b6fb0f72b75a515390d738c38f86c58b76e1b1ed711f16666",
-    (3, 12): "2e071fb91b549b8b6fb0f72b75a515390d738c38f86c58b76e1b1ed711f16666",
-    (3, 13): "315d2cfb6f51322267b846b726756a0df917e320eaf25a4202b472c5af9bd613",
+    (3, 10): "965c047887cc2da5ff0dfd13625c8a48bd5924c75795d7f24bef652bf559d9d2",
+    (3, 11): "965c047887cc2da5ff0dfd13625c8a48bd5924c75795d7f24bef652bf559d9d2",
+    (3, 12): "965c047887cc2da5ff0dfd13625c8a48bd5924c75795d7f24bef652bf559d9d2",
+    (3, 13): "d8bf5645feb6f643cbda872d91a00c95609c5e202e4ecbff6c06b69c4bf51955",
 }
 
 CLI_COMMANDS = (

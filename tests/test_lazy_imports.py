@@ -98,7 +98,8 @@ def test_a_subcommand_imports_only_its_kernels(workdir, command):
 
 
 def test_a_parallel_scan_imports_no_process_pool(workdir):
-    argv = ["random", "--n", "4", "--p", "0.5", "--trials", "4", "--seed", "1", "--threads", "2"]
+    # two batches of 1024 trials, as n = 4 at one p packs them, so a second worker forks
+    argv = ["random", "--n", "4", "--p", "0.5", "--trials", "2048", "--seed", "1", "--threads", "2"]
     report = _python(PROBE, *argv, cwd=workdir)
     assert report["code"] == 0
     assert set(report["modules"]) == {"cli", "errors", "graph", "networks", "counting"}

@@ -204,8 +204,12 @@ def test_fraction_monotone_in_p():
 
 
 def test_parallel_workers_match_serial(monkeypatch):
-    # two cores, whatever the host has, so workers=2 opens a real pool
+    # two cores, whatever the host has, and batches of 8 trials, so workers=2
+    # forks a child for the 80 trials
+    from photongraph import networks
+
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(networks, "_batch_size", lambda *args: 8)
     for seed in (12, 13, 14):
         serial = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed)
         parallel = pg.ensemble_scan(6, [0.2, 0.5, 0.9], 80, seed, workers=2)
@@ -223,8 +227,11 @@ def test_parallel_workers_match_serial(monkeypatch):
 )
 @settings(max_examples=40, deadline=None)
 def test_a_scan_reports_each_p_as_a_one_p_scan_does(n, trials, seed, ps, workers):
-    # two cores, whatever the host has, so workers=2 forks a child
-    with mock.patch.object(os, "cpu_count", lambda: 2):
+    # two cores, whatever the host has, and batches of one trial, so
+    # workers=2 forks a child from two trials on
+    from photongraph import networks
+
+    with mock.patch.object(os, "cpu_count", lambda: 2), mock.patch.object(networks, "_batch_size", lambda *args: 1):
         reports = pg.ensemble_scan(n, ps, trials, seed, workers=workers)
     assert reports == [pg.ensemble_scan(n, [p], trials, seed)[0] for p in ps]
 
@@ -360,21 +367,29 @@ def test_ensemble_refuses_large_orders_before_sampling(no_sampling, workers):
 
 
 @pytest.mark.parametrize(
-    "cpus, workers, trials, ps, sizes",
+    "cpus, workers, trials, batch, ps, sizes",
     [
-        (8, 100_000, 3, [0.5], [1, 1]),  # three trials: the caller and two children
-        (2, 100_000, 50, [0.3, 0.7], [25]),  # two cores: one child
-        (8, 4, 1, [0.5], []),  # one trial: no child
-        (None, 4, 50, [0.5], []),  # core count unknown: no child
-        (8, 4, 50, [], []),  # no p: no child
+        (8, 100_000, 3, 1, [0.5], [1, 1]),  # three one-trial batches: the caller and two children
+        (2, 100_000, 50, 1, [0.3, 0.7], [25]),  # two cores: one child
+        (8, 4, 1, 1, [0.5], []),  # one trial: no child
+        (None, 4, 50, 1, [0.5], []),  # core count unknown: no child
+        (8, 4, 50, 1, [], []),  # no p: no child
+        (8, 4, 50, 25, [0.5], [25]),  # two whole batches: one child
+        (8, 4, 49, 25, [0.5], []),  # less than two whole batches: no child
+        (8, 4, 99, 25, [0.5], [33, 33]),  # three whole batches: two children
+        (8, 4, 2048, None, [0.5], [1024]),  # two batches of 1024 trials, as n = 4 packs them: one child
+        (8, 4, 2047, None, [0.5], []),  # less than two such batches: no child
     ],
 )
-def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, trials, ps, sizes):
-    """``sizes`` lists the trial count of each child a scan starts; an
+def test_pool_size_is_capped_by_cores_and_batches(monkeypatch, cpus, workers, trials, batch, ps, sizes):
+    """``sizes`` lists the trial count of each child a scan starts, with
+    ``batch`` trials a batch (``None``: the scan's own batch size); an
     in-process stand-in for the fork counts its share at once."""
     from photongraph import networks
 
     started = []
+    if batch is not None:
+        monkeypatch.setattr(networks, "_batch_size", lambda *args: batch)
 
     def fork_share(n, p_values, seed, start, stop):
         started.append(stop - start)
@@ -388,9 +403,23 @@ def test_pool_size_is_capped_by_cores_and_chunks(monkeypatch, cpus, workers, tri
     assert reports == pg.ensemble_scan(4, ps, trials, 1)
 
 
+@pytest.mark.parametrize("n", [10, 12])
+def test_the_benchmark_decks_scans_count_in_the_caller(monkeypatch, n):
+    """200 trials at three p are less than two batches at n = 10 and 12, so
+    two workers on two cores count them in the caller without a fork."""
+    def no_fork():
+        raise AssertionError("a scan of less than two batches forked")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    ps = [0.3, 0.5, 0.7]
+    assert pg.ensemble_scan(n, ps, 200, 9, workers=2) == pg.ensemble_scan(n, ps, 200, 9)
+
+
 @pytest.fixture
 def fail_share(monkeypatch):
-    """Two cores, and a ``_count_range`` that raises the exception given to
+    """Two cores, batches of four trials, so a 40-trial scan forks, and a
+    ``_count_range`` that raises the exception given to
     ``fail_share(exc, in_caller)`` in the caller or in a child; after the
     test no child of this process is left."""
     from photongraph import networks
@@ -403,6 +432,7 @@ def fail_share(monkeypatch):
         return count_range(*args)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(networks, "_batch_size", lambda *args: 4)
     monkeypatch.setattr(networks, "_count_range", count_or_fail)
     yield lambda exc, in_caller: failure.extend((exc, in_caller))
     with pytest.raises(ChildProcessError):
@@ -440,6 +470,7 @@ def test_a_large_child_histogram_comes_through_the_pipe(monkeypatch):
 
     big = {count: count for count in range(20_000)}
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(networks, "_batch_size", lambda *args: 1)
     monkeypatch.setattr(networks, "_count_range", lambda n, p_values, *args: [Counter(big) for _ in p_values])
     report = pg.ensemble_scan(6, [0.5], 2, 0, workers=2)[0]
     assert report.pm_count_histogram == {count: 2 * count for count in range(20_000)}
