@@ -262,6 +262,69 @@ def test_state_documents_golden():
     assert digest.hexdigest() == STATE_DOCUMENTS_GOLDEN_SHA256
 
 
+DESIGN_OUTPUTS_GOLDEN_SHA256 = "1b839d3653490e9e7f054e5a7fb820f23f0b7384381e2d6264fa50f4daf10dde"
+
+_DESIGN_PHASES = [0.0, -0.0, 0.5, math.pi / 4, math.pi / 2, math.pi, 2.5, -3.0]
+
+
+def _balanced_complete(n: int, modes: int, rng: random.Random) -> ExperimentGraph:
+    """K_n whose vertices each carry every mode in [0, modes) about equally
+    often on their edge ends, in seeded order, with seeded magnitudes and
+    phases."""
+    names = vertex_names(n)
+    ends = [rng.sample([k % modes for k in range(n - 1)], n - 1) for _ in range(n)]
+    edges = [
+        Edge(f"e{i}.{j}", names[i], names[j], ends[i].pop(), ends[j].pop(),
+             rng.uniform(0.1, 2.0), rng.uniform(-math.pi, math.pi))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    return ExperimentGraph(names, edges)
+
+
+def _design_graphs():
+    """Seeded K4-K10 with 1-3 balanced modes, merged graphs with measured
+    vertices, a layer-tagged K6, and graphs whose names and ids need JSON
+    escapes, with amplitudes -0.0, 5e-324 and 1e300."""
+    rng = random.Random(32)
+    for n in range(4, 11):
+        for modes in (1, 2, 3):
+            yield _balanced_complete(n, modes, rng)
+    for pairs in ([("d", "e")], [("c", "e"), ("d", "f")], [("b", "g")]):
+        left = _weighted_complete(4, 2, rng)
+        names = ("e", "f", "g", "h")
+        right = ExperimentGraph(names, [Edge(f"r{e.id}", names["abcd".index(e.u)], names["abcd".index(e.v)],
+                                             e.mode_u, e.mode_v, e.amp_mag, e.amp_phase_rad)
+                                        for e in _weighted_complete(4, 2, rng).edges])
+        yield pg.merge_graphs(left, right, pairs)
+    yield _layered_complete(6)
+    odd = ["α", 'q"1', "b\\2", "c\n\t\x01", "\u2028é", "😀"]
+    for mags in ((-0.0, 5e-324, 1.0), (1e300, 1.0, 0.5), (1.0, 0.5, 2.0)):
+        edges = [
+            Edge(f"{odd[j]}\x7f{i}.{j}", odd[i], odd[j], (i + j) % 2, i % 2, mags[(i + j) % 3],
+                 (-0.0, 0.25, -1.5)[(i * j) % 3])
+            for i in range(6)
+            for j in range(i + 1, 6)
+        ]
+        yield ExperimentGraph(odd, edges)
+
+
+def test_design_outputs_golden():
+    """What a design request writes for the seeded corpus: the 8-phase
+    frustration scan of three edges, the normalized state document, the
+    graph document and the setup plan document (or each refusal)."""
+    digest = hashlib.sha256()
+    for g in _design_graphs():
+        ids = sorted(e.id for e in g.edges)
+        for edge_id in (ids[0], ids[len(ids) // 2], ids[-1]):
+            digest.update(repr(_outcome(pg.frustration_scan, g, edge_id, _DESIGN_PHASES,
+                                        override_limits=True)).encode())
+        digest.update(repr(_outcome(lambda: pg.serialize_state(pg.state_from_graph(g, True)))).encode())
+        digest.update(pg.serialize_graph(g).encode())
+        digest.update(repr(_outcome(lambda: pg.serialize_plan(pg.synthesize_setup(g)))).encode())
+    assert digest.hexdigest() == DESIGN_OUTPUTS_GOLDEN_SHA256
+
+
 CLI_GOLDEN_SHA256 = "b5fbd4bd534ca517a9b698d741e080f8e3df65958896b66f0cc513dd736752df"
 
 
