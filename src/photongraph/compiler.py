@@ -12,14 +12,15 @@ layer tag: its layer is its position in the plan.  Plan files store each
 crystal as a graph edge record without ``layer``, read and written by the
 graph module's codec; the crystals and detectors are checked by the rules
 of the graph model, and a refusal is reported at its place in the plan.
+A plan document is written by the graph module's template writer, byte for
+byte as ``json.dumps(plan, indent=2)`` lays it out, without json's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
-import json
-
 from .errors import DomainError, FieldError, GraphParseError
-from .graph import Edge, ExperimentGraph, _Record, _edge_record, _expect, _parse_json, _read_edge
+from .graph import Edge, ExperimentGraph, _Record, _expect, _layout, _parse_json, _read_edge
 
 __all__ = [
     "SetupPlan",
@@ -121,12 +122,7 @@ def plan_to_graph(plan: SetupPlan) -> ExperimentGraph:
 # ---------------------------------------------------------------------------
 
 def serialize_plan(plan: SetupPlan) -> str:
-    doc = {
-        "detectors": list(plan.detectors),
-        "layers": [[_edge_record(c) for c in layer] for layer in plan.layers],
-        "wiring": {path: list(ids) for path, ids in plan.wiring.items()},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _layout({"detectors": plan.detectors, "layers": plan.layers, "wiring": plan.wiring}) + "\n"
 
 
 def parse_plan(text: str) -> SetupPlan:

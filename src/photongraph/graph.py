@@ -22,6 +22,8 @@ File format (UTF-8 JSON): top-level object with
 
 Setup plans (:mod:`photongraph.compiler`) store their crystals as the same
 edge records without ``layer``, read and written by the same functions.
+Both documents are written from one edge-record template, laid out byte for
+byte as ``json.dumps(doc, indent=2)`` would.
 
 Every rule lives in the model: the field rules of an edge in
 :class:`Edge`, the rules that tie edges to vertices in
@@ -36,6 +38,7 @@ import cmath
 import json
 import math
 import random
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -430,29 +433,50 @@ def parse_graph(text: str) -> ExperimentGraph:
         raise GraphParseError(exc.problem, location=exc.field) from None
 
 
-def _edge_record(e: Edge) -> dict:
-    rec = {
-        "id": e.id,
-        "u": e.u,
-        "v": e.v,
-        "mode_u": e.mode_u,
-        "mode_v": e.mode_v,
-        "amp_mag": e.amp_mag,
-        "amp_phase_rad": e.amp_phase_rad,
-    }
-    if e.layer is not None:
-        rec["layer"] = e.layer
-    return rec
+# An edge record as ``json.dumps(record, indent=2)`` writes it: strings go
+# through json's own ASCII escaper, ``%r`` of a float (an edge holds exact
+# floats) is ``float.__repr__`` as in json, and ``%d`` writes an int
+# subclass such as an ``IntEnum`` mode as its number, as json does and
+# ``%r`` would not.
+_EDGE_TEXT = ('{\n  "id": %s,\n  "u": %s,\n  "v": %s,\n  "mode_u": %d,\n  "mode_v": %d,\n'
+              '  "amp_mag": %r,\n  "amp_phase_rad": %r%s\n}')
+
+
+def _edge_text(e: Edge) -> str:
+    layer = "" if e.layer is None else ',\n  "layer": %d' % e.layer
+    return _EDGE_TEXT % (_quote(e.id), _quote(e.u), _quote(e.v), e.mode_u, e.mode_v, e.amp_mag, e.amp_phase_rad, layer)
+
+
+def _layout(value) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, with every
+    edge in it as its edge record.  Objects need string keys.  A nested
+    block is indented by one replace, since escaped strings hold no line
+    break."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, Edge):
+        return _edge_text(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ",\n".join([f"{_quote(key)}: {_layout(item)}" for key, item in value.items()])
+        return "{\n  " + body.replace("\n", "\n  ") + "\n}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = ",\n".join(map(_layout, value))
+        return "[\n  " + body.replace("\n", "\n  ") + "\n]"
+    return json.dumps(value)
 
 
 def serialize_graph(g: ExperimentGraph) -> str:
     """Canonical form: vertices in declaration order, edges sorted by id.
     Byte-identical across runs for equal graphs."""
-    doc: dict = {"vertices": list(g.vertices)}
+    doc: dict = {"vertices": g.vertices}
     if g.measured:
         doc["measured"] = [v for v in g.vertices if v in g.measured]
-    doc["edges"] = [_edge_record(e) for e in sorted(g.edges, key=lambda e: e.id)]
-    return json.dumps(doc, indent=2) + "\n"
+    doc["edges"] = sorted(g.edges, key=lambda e: e.id)
+    return _layout(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ call still applies the scale guard and returns a state of its own.
 ``frustration_scan`` and the target search run the kernel on their own
 edge sets (the graph less one edge, or a candidate's labels).
 
+The kernel codes each ket as one integer; ``_decode`` turns codes into
+kets by table lookups of several slots at a time, and a frustration scan
+recomputes at each phase only the kets its edge reaches.
+
 Amplitudes below ``AMP_TOL`` are pruned; state comparisons fix the global
 phase by rotating the first nonzero amplitude (in ket order) onto the
 positive real axis.  The scale guard is the enumeration guard of
@@ -34,7 +38,9 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
+from functools import reduce
 from itertools import combinations, product
+from operator import add
 
 from .errors import DomainError, FullyFrustratedError, GraphParseError
 from .graph import Edge, ExperimentGraph, _Record, _expect, _float_value, _parse_json, vertex_names
@@ -118,12 +124,22 @@ def _radix(edges) -> int:
 
 
 def _decode(codes: list[int], radix: int, length: int) -> list[Ket]:
-    """Kets of the given codes, slot by slot from the last."""
-    columns = []
-    for _ in range(length):
-        columns.append([code % radix for code in codes])
-        codes = [code // radix for code in codes]
-    return list(zip(*reversed(columns))) if columns else [()] * len(codes)
+    """Kets of the given codes.  A ket's last c slots are read from one
+    table of every c-slot mode tuple, c the largest for which radix**c is at
+    most the number of codes, so the table is never larger than the output;
+    its leading slots are decoded the same way.  Fewer codes than the radix
+    are decoded slot by slot."""
+    c = 0
+    while c < length and radix ** (c + 1) <= len(codes):
+        c += 1
+    if not c:
+        return [tuple(code // radix ** (length - 1 - s) % radix for s in range(length)) for code in codes]
+    table = list(product(range(radix), repeat=c))
+    if c == length:
+        return [table[code] for code in codes]
+    base = radix**c
+    heads = _decode([code // base for code in codes], radix, length - c)
+    return [head + table[code % base] for head, code in zip(heads, codes)]
 
 
 def _cover_sums(measured: list[bool], edges, radix: int, forced: tuple = (None,)) -> list[dict[int, complex]]:
@@ -335,7 +351,10 @@ def frustration_scan(
     One kernel run, from two start states that share one memo, gives per
     ket B summed over the covers without the edge and A over the covers
     through it, less its amplitude a.  The ket's amplitude at a phase is
-    B + a * A, so each phase costs one pass over the kets."""
+    B + a * A, and |B| at every phase for a ket the edge does not reach, so
+    that ket's square is taken once.  So each phase costs one pass over the
+    kets the edge reaches and one sum, over all kets in one fixed order, to
+    which a ket at or below ``AMP_TOL`` adds 0.0."""
     edge = g.edge_by_id(edge_id)
     _check_scale(g, override_limits)
     measured = [v in g.measured for v in g.vertices]
@@ -343,18 +362,26 @@ def frustration_scan(
     (forced,) = _indexed(g, [edge])
     radix = _radix(rest + [forced])
     without, through = _cover_sums(measured, rest, radix, (None, forced))
-    pairs = [(without.get(k, 0j), through.get(k, 0j)) for k in without.keys() | through.keys()]
+    squares, reached = [], []
+    for k in without.keys() | through.keys():
+        if k in through:
+            reached.append((len(squares), without.get(k, 0j), through[k]))
+            squares.append(0.0)
+        else:
+            total = abs(without[k])
+            squares.append(total * total if total > AMP_TOL else 0.0)
     out = []
     for phase in phases:
         phase = float(phase)
         if not math.isfinite(phase):
             raise DomainError(f"phase must be finite, got {phase}")
         amp = cmath.rect(edge.amp_mag, phase)
-        intensity = 0.0
-        for b, a in pairs:
+        row = squares.copy()
+        for at, b, a in reached:
             total = abs(b + amp * a)
-            if total > AMP_TOL:
-                intensity += total * total
+            row[at] = total * total if total > AMP_TOL else 0.0
+        # Not sum(): from Python 3.12 it compensates and would move the last bits.
+        intensity = reduce(add, row, 0.0)
         if not math.isfinite(intensity):
             raise DomainError(f"intensity at phase {phase:g} overflows double precision", reason="overflow")
         out.append((phase, intensity))

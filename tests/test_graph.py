@@ -8,9 +8,10 @@ import math
 import pickle
 import random
 import re
+from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photongraph as pg
@@ -465,3 +466,86 @@ def test_round_trip_property(g):
 @settings(max_examples=40, deadline=None)
 def test_cover_enumeration_matches_brute_force(g):
     assert pg.enumerate_pm(g) == brute_force_covers(g)
+
+
+# ---------------------------------------------------------------------------
+# graph and plan documents are what json.dumps(..., indent=2) writes
+# ---------------------------------------------------------------------------
+
+class Mode(IntEnum):
+    H = 0
+    V = 1
+    D = 7
+
+
+# Names with JSON escapes: quotes, backslashes, control characters, non-ASCII
+# text and lone surrogates.
+_doc_names = st.text(st.characters(exclude_categories=()), min_size=1, max_size=4) | st.sampled_from(
+    ['q"1', "b\\2", "c\n\t\x01", "\x7f", "\u2028é", "😀", "\ud800"]
+)
+_counts = st.integers(0, 9) | st.sampled_from(list(Mode)) | st.just(2**70)
+_magnitudes = st.floats(0, 1e300) | st.sampled_from([-0.0, 5e-324, 1e300, 1.7976931348623157e308])
+_phases = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -1e300])
+
+
+@st.composite
+def _doc_edges(draw, names, count, layered=True):
+    """``count`` edges with distinct escaped ids between two of ``names``."""
+    ids = draw(st.lists(_doc_names, min_size=count, max_size=count, unique=True))
+    return [
+        Edge(id, *draw(st.permutations(names))[:2], draw(_counts), draw(_counts), draw(_magnitudes),
+             draw(_phases), draw(st.none() | _counts) if layered else None)
+        for id in ids
+    ]
+
+
+def _record(e: Edge) -> dict:
+    rec = {"id": e.id, "u": e.u, "v": e.v, "mode_u": e.mode_u, "mode_v": e.mode_v, "amp_mag": e.amp_mag,
+           "amp_phase_rad": e.amp_phase_rad}
+    if e.layer is not None:
+        rec["layer"] = e.layer
+    return rec
+
+
+@st.composite
+def _doc_graphs(draw):
+    names = draw(st.lists(_doc_names, max_size=6, unique=True))
+    edges = draw(_doc_edges(names, draw(st.integers(0, 6)))) if len(names) >= 2 else []
+    return ExperimentGraph(names, edges, draw(st.lists(st.sampled_from(names), unique=True)) if names else [])
+
+
+@given(_doc_graphs())
+@settings(max_examples=300, deadline=None)
+@example(ExperimentGraph([]))
+@example(ExperimentGraph(["a", "b"]))
+@example(ExperimentGraph(["a", "b"], [Edge("x", "b", "a", Mode.V, Mode.D, 1e300, -0.0, Mode.H)], ["a"]))
+def test_serialize_graph_writes_what_json_writes(g):
+    doc: dict = {"vertices": list(g.vertices)}
+    if g.measured:
+        doc["measured"] = [v for v in g.vertices if v in g.measured]
+    doc["edges"] = [_record(e) for e in sorted(g.edges, key=lambda e: e.id)]
+    assert pg.serialize_graph(g) == json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def _doc_plans(draw):
+    detectors = draw(st.lists(_doc_names, min_size=2, max_size=6, unique=True))
+    crystals = draw(_doc_edges(detectors, draw(st.integers(0, 6)), layered=False))
+    cuts = sorted(draw(st.lists(st.integers(0, len(crystals)), max_size=3)))
+    layers = tuple(tuple(crystals[a:b]) for a, b in zip([0, *cuts], [*cuts, len(crystals)]))
+    paths = draw(st.lists(st.sampled_from(detectors), unique=True))
+    wiring = {path: tuple(draw(st.lists(_doc_names, max_size=3))) for path in paths}
+    return pg.SetupPlan(tuple(detectors), layers if crystals or cuts else (), wiring)
+
+
+@given(_doc_plans())
+@settings(max_examples=300, deadline=None)
+@example(pg.SetupPlan((), (), {}))
+@example(pg.SetupPlan(("a", "b"), ((), (Edge("x", "a", "b", Mode.D, Mode.H),)), {"a": (), "b": ("x",)}))
+def test_serialize_plan_writes_what_json_writes(plan):
+    doc = {
+        "detectors": list(plan.detectors),
+        "layers": [[_record(c) for c in layer] for layer in plan.layers],
+        "wiring": {path: list(ids) for path, ids in plan.wiring.items()},
+    }
+    assert pg.serialize_plan(plan) == json.dumps(doc, indent=2) + "\n"

@@ -620,6 +620,108 @@ def test_frustration_scan_matches_brute_force(g, data):
 
 
 # ---------------------------------------------------------------------------
+# the phase sweep and the ket decoder against plain per-ket loops
+# ---------------------------------------------------------------------------
+
+def _sweep_every_ket(g, edge_id, phases):
+    """The scan with every ket recomputed at every phase, a ket at or below
+    ``AMP_TOL`` skipped, summed left to right in the order of the kernel's
+    set of kets."""
+    rest = pg.states._indexed(g, [e for e in g.edges if e.id != edge_id])
+    (forced,) = pg.states._indexed(g, [g.edge_by_id(edge_id)])
+    measured = [v in g.measured for v in g.vertices]
+    without, through = pg.states._cover_sums(measured, rest, pg.states._radix(rest + [forced]), (None, forced))
+    out = []
+    for phase in phases:
+        amp = cmath.rect(g.edge_by_id(edge_id).amp_mag, phase)
+        intensity = 0.0
+        for k in without.keys() | through.keys():
+            total = abs(without.get(k, 0j) + amp * through.get(k, 0j))
+            if total > pg.states.AMP_TOL:
+                intensity += total * total
+        out.append((phase, intensity))
+    return out
+
+
+_SWEEP_PHASES = [0.0, -0.0, 0.4, math.pi / 2, math.pi, -2.5]
+
+
+@given(kernel_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_frustration_scan_sums_as_a_sweep_over_every_ket(g, data):
+    if not g.edges:
+        return
+    edge_id = data.draw(st.sampled_from(sorted(e.id for e in g.edges)))
+    assert pg.frustration_scan(g, edge_id, _SWEEP_PHASES) == _sweep_every_ket(g, edge_id, _SWEEP_PHASES)
+
+
+def _k4_beside(names, edges) -> ExperimentGraph:
+    """A weighted two-mode K4 on c, d, e, f beside the given edges."""
+    rng = random.Random(11)
+    k4 = [Edge(f"{u}{v}", u, v, rng.randrange(2), rng.randrange(2), rng.uniform(0.5, 2), rng.uniform(-3, 3))
+          for u, v in ("cd", "ce", "cf", "de", "df", "ef")]
+    return ExperimentGraph([*names, "c", "d", "e", "f"], [*edges, *k4])
+
+
+def test_frustration_scan_of_an_edge_in_every_cover():
+    """The only edge at a is in every cover, so it reaches every ket and
+    only turns the state's global phase: the intensity stays the norm."""
+    g = _k4_beside("ab", [Edge("ab", "a", "b", 1, 0, 1.5, 0.3)])
+    rows = pg.frustration_scan(g, "ab", _SWEEP_PHASES)
+    assert rows == _sweep_every_ket(g, "ab", _SWEEP_PHASES)
+    norm_sq = pg.state_from_graph(g).norm_sq()
+    assert all(abs(intensity - norm_sq) <= 1e-12 * norm_sq for _, intensity in rows)
+
+
+def test_frustration_scan_of_an_edge_in_no_cover():
+    """a-c is in no cover, since b-d is missing, so it reaches no ket and
+    every phase gives the same intensity."""
+    edges = [Edge("ab", "a", "b"), Edge("ab1", "a", "b", 1, 1, 0.5), Edge("ac", "a", "c", 0, 1, 2.0)]
+    g = _k4_beside("ab", edges)
+    rows = pg.frustration_scan(g, "ac", _SWEEP_PHASES)
+    assert rows == _sweep_every_ket(g, "ac", _SWEEP_PHASES)
+    assert len({intensity for _, intensity in rows}) == 1
+
+
+def test_frustration_scan_of_the_cancelling_double_edge():
+    rows = pg.frustration_scan(double_edge(), "II", [0.0, math.pi])
+    assert rows == [(0.0, 4.0), (math.pi, 0.0)]
+
+
+@pytest.mark.parametrize("edge_id", ["I", "II"])
+def test_an_overflowing_frustration_scan_is_a_domain_error(edge_id):
+    """The square of the 1e300 ket overflows whether the swept edge reaches
+    that ket (I) or only the other one (II)."""
+    g = ExperimentGraph(["a", "b"], [Edge("I", "a", "b", 0, 0, 1e300), Edge("II", "a", "b", 1, 1)])
+    with pytest.raises(pg.DomainError) as err:
+        pg.frustration_scan(g, edge_id, [0.0, 1.0])
+    assert err.value.reason == "overflow"
+
+
+def _slot_by_slot(codes, radix, length):
+    kets = []
+    for code in codes:
+        ket = []
+        for _ in range(length):
+            code, mode = divmod(code, radix)
+            ket.append(mode)
+        kets.append(tuple(reversed(ket)))
+    return kets
+
+
+@pytest.mark.parametrize("radix", [1, 2, 3, 4])
+@pytest.mark.parametrize("length", range(14))
+def test_decode_equals_a_slot_by_slot_decode(radix, length):
+    """Code lists empty, shorter than the radix, at and around a table
+    size, and long."""
+    rng = random.Random(100 * radix + length)
+    space = radix**length
+    for count in (0, 1, radix - 1, radix, radix + 1, radix**2, radix**3 - 1, 100, 3000):
+        codes = sorted(rng.sample(range(space), min(count, space)))
+        assert pg.states._decode(codes, radix, length) == _slot_by_slot(codes, radix, length)
+
+
+# ---------------------------------------------------------------------------
 # state-kernel properties: relabelling, per-vertex scaling, disjoint union,
 # frustration
 # ---------------------------------------------------------------------------
