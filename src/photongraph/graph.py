@@ -38,9 +38,10 @@ import cmath
 import json
 import math
 import random
+from itertools import repeat, starmap
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, FieldError, GraphParseError, NotBipartiteError
 
@@ -541,14 +542,14 @@ def random_graph(n: int, p: float, seed: int) -> ExperimentGraph:
     return _graph_from_pairs(n, _gnp_pairs(n, p, seed))
 
 
-def _gnp_draws(n: int, seed: int) -> list[float]:
-    """One draw of ``random.Random(seed)`` per vertex index pair ``i < j``,
-    in row order.  Pair (i, j) is an edge of the G(n, p) sample of ``seed``
-    exactly when its draw is below p, so the samples of one seed are nested
-    as p grows.  Every sampler of the package goes through here, so a graph
-    and a bare count see the same edges for the same seed."""
-    rng = random.Random(seed).random
-    return [rng() for _ in range(n * (n - 1) // 2)]
+def _gnp_draws(n: int, seed: int) -> Iterator[float]:
+    """An iterator, read once, over one draw of ``random.Random(seed)`` per
+    vertex index pair ``i < j``, in row order; it builds no list.  Pair
+    (i, j) is an edge of the G(n, p) sample of ``seed`` exactly when its draw
+    is below p, so the samples of one seed are nested as p grows.  Every
+    sampler of the package goes through here, so a graph and a bare count
+    see the same edges for the same seed."""
+    return starmap(random.Random(seed).random, repeat((), n * (n - 1) // 2))
 
 
 def _gnp_pairs(n: int, p: float, seed: int) -> list[tuple[int, int]]:

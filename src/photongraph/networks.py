@@ -11,16 +11,20 @@ building a graph: the sampler behind :func:`~photongraph.graph.random_graph`
 draws one uniform per vertex pair, and the pair is an edge at each p above
 its draw (so a trial's graph at p is ``random_graph(n, p, trial_seed(seed,
 trial))``, and its graphs are nested as p grows).  Each edge gets the tier
-of the smallest p that holds it.  A batch of trials is packed into one
-integer per vertex pair, with a byte-aligned slot per trial and a field per
-p that is set where the pair is an edge, and the matching counter behind
-:func:`~photongraph.counting.hafnian`, combining by ``&``, counts every
-trial's graph at every p in one pass, giving the hafnian of each graph's
-adjacency matrix.  Since the trials run that counter without calling
-``hafnian``, a scan applies the hafnian's order guard itself, before any
-sampling.  With several workers, capped at the core count and at one worker
-per whole batch of trials, the caller counts one contiguous trial range and
-forks a child per other range, which pipes its histograms back as
+of the smallest p that holds it, and a trial's draws are streamed into one
+byte of tier per vertex pair, so a scan of more than 255 distinct p counts
+them 255 at a time, drawing its trials again for each chunk.  A batch of
+trials is packed into one integer per vertex pair, with a byte-aligned slot
+per trial and a field per p that is set where the pair is an edge: the
+batch's tier bytes are joined once, and each pair's integer joins the slot
+bytes of the tiers in its strided slice of them, gathered at C level.  The
+matching counter behind :func:`~photongraph.counting.hafnian`, combining by
+``&``, counts every trial's graph at every p in one pass, giving the hafnian
+of each graph's adjacency matrix.  Since the trials run that counter without
+calling ``hafnian``, a scan applies the hafnian's order guard itself, before
+any sampling.  With several workers, capped at the core count and at one
+worker per whole batch of trials, the caller counts one contiguous trial
+range and forks a child per other range, which pipes its histograms back as
 ``marshal`` bytes and counts its range in batches of its own (only the
 network terms import :mod:`~photongraph.states`).
 """
@@ -35,7 +39,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from itertools import compress
-from operator import and_, gt
+from operator import and_
 
 from .counting import _check_hafnian_order, _matching_sum
 from .errors import DomainError, PhotonGraphError
@@ -92,32 +96,48 @@ def _packing(n: int, p_values: list) -> tuple[list, int, int, int]:
 
 def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> list[Counter]:
     """Histograms of perfect-matching counts over trials ``start..stop-1``,
-    one per p in the given order.  A trial is seeded and drawn once: each
-    pair's tier is the number of distinct p at or below its draw, so it is
-    an edge at every p above its draw.  A trial whose largest graph has an
-    isolated vertex counts 0 at every p; the others are packed
-    :func:`_batch_size` at a time, one byte-aligned slot per trial with a
-    field per p, and the matching counter counts a whole batch in one
-    pass."""
-    tiers, width, slot, size = _packing(n, p_values)
-    above = partial(gt, tiers[-1])  # an edge of the largest graph, for a p of any real type
+    one per p in the given order.  A pair's tier takes one byte, so the
+    distinct p are counted at most 255 at a time, each chunk drawing the
+    same seeded trials again."""
+    distinct = sorted(set(p_values))
+    by_p = {}
+    for k in range(0, len(distinct), 255):
+        tiers = distinct[k:k + 255]
+        by_p.update(zip(tiers, _count_tiers(n, tiers, seed, start, stop)))
+    return [Counter(by_p[p]) for p in p_values]
+
+
+def _count_tiers(n: int, tiers: list, seed: int, start: int, stop: int) -> list[Counter]:
+    """Histograms of perfect-matching counts over trials ``start..stop-1``,
+    one per p of ``tiers``, at most 255 distinct p in increasing order.  A
+    trial is seeded and drawn once into one byte per pair, its tier: the
+    number of p at or below its draw, so it is an edge at every p above its
+    draw.  A trial whose largest graph has an isolated vertex counts 0 at
+    every p; the others are packed :func:`_batch_size` at a time, one
+    byte-aligned slot per trial with a field per p, and the matching counter
+    counts a whole batch in one pass."""
+    tiers, width, slot, size = _packing(n, tiers)
+    tier = partial(bisect_right, tiers)  # for a p of any real type
+    # tier len(tiers) is no edge; the others are edges of the largest graph
+    in_largest = bytes(t < len(tiers) for t in range(256))
     shifts = range(0, len(tiers) * width, width)
     field = (1 << width) - 1
-    # a pair of tier t is an edge in fields t and up; tier len(tiers) in none
+    # a pair of tier t is an edge in fields t and up
     marks = [sum(field << shift for shift in shifts[t:]).to_bytes(slot, "little") for t in range(len(tiers) + 1)]
     ones = sum(1 << shift for shift in shifts).to_bytes(slot, "little")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # byte k of a vertex's mask is set if pair k holds the vertex
     ends = [sum(1 << 8 * k for k, pair in enumerate(pairs) if v in pair) for v in range(n)]
     histograms = [Counter() for _ in tiers]
-    batch: list[list[float]] = []
+    batch: list[bytes] = []
     held = 0  # byte k is set if pair k is an edge of some largest graph of the batch
 
     def count_batch():
+        flat = b"".join(batch)  # byte k of trial t's tiers at t * len(pairs) + k
         keep = [[0] * n for _ in range(n)]
         for k in compress(range(len(pairs)), held.to_bytes(len(pairs), "little")):
             i, j = pairs[k]
-            keep[i][j] = int.from_bytes(b"".join([marks[bisect_right(tiers, draws[k])] for draws in batch]), "little")
+            keep[i][j] = int.from_bytes(b"".join(map(marks.__getitem__, flat[k::len(pairs)])), "little")
         total = _matching_sum(keep, int.from_bytes(ones * len(batch), "little"), and_)
         raw = total.to_bytes(len(batch) * slot, "little")
         values = [int.from_bytes(raw[k:k + slot], "little") for k in range(0, len(raw), slot)]
@@ -127,12 +147,12 @@ def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> li
 
     unmatched = 0
     for trial in range(start, stop):
-        draws = _gnp_draws(n, trial_seed(seed, trial))
-        largest = int.from_bytes(bytes(map(above, draws)), "little")
+        trial_tiers = bytes(map(tier, _gnp_draws(n, trial_seed(seed, trial))))
+        largest = int.from_bytes(trial_tiers.translate(in_largest), "little")
         if not all(map(largest.__and__, ends)):
             unmatched += 1
             continue
-        batch.append(draws)
+        batch.append(trial_tiers)
         held |= largest
         if len(batch) == size:
             count_batch()
@@ -142,8 +162,7 @@ def _count_range(n: int, p_values: list, seed: int, start: int, stop: int) -> li
     if unmatched:
         for counts in histograms:
             counts[0] += unmatched
-    by_p = dict(zip(tiers, histograms))
-    return [Counter(by_p[p]) for p in p_values]
+    return histograms
 
 
 def _fork_share(n: int, p_values: list, seed: int, start: int, stop: int):

@@ -6,6 +6,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph, vertex_names
@@ -267,3 +269,50 @@ def test_tutte_agreement_random_14():
         assert exists == (len(pg.enumerate_pm(g)) > 0)
         if not exists:
             assert _witness_is_valid(g, result)
+
+
+@st.composite
+def relabelled_graphs(draw, bipartite: bool):
+    """A multigraph on at most 10 vertices and the same graph with its
+    vertices declared in a random order; a bipartite one joins only its x
+    side to its y side, of equal size."""
+    if bipartite:
+        k = draw(st.integers(min_value=0, max_value=5))
+        xs, ys = [f"x{i}" for i in range(k)], [f"y{i}" for i in range(k)]
+        names, slots = xs + ys, [(x, y) for x in xs for y in ys]
+    else:
+        names = list(vertex_names(draw(st.integers(min_value=0, max_value=10))))
+        slots = list(combinations(names, 2))
+    ends = draw(st.lists(st.sampled_from(slots), max_size=2 * len(names))) if slots else []
+    edges = [Edge(f"e{s}", u, v) for s, (u, v) in enumerate(ends)]
+    return ExperimentGraph(names, edges), ExperimentGraph(draw(st.permutations(names)), edges)
+
+
+def _finds_matching(check, g) -> bool:
+    """Whether ``check`` finds a perfect matching of ``g``: a cover, or else
+    a valid witness or, from the 2-colouring of an unbalanced graph, a
+    refusal of its unequal parts."""
+    try:
+        result = check(g)
+    except pg.DomainError as exc:
+        assert exc.reason == "unequal-parts"
+        return False
+    if isinstance(result, tuple):
+        assert pg.is_coincidence_cover(g, result)
+        return True
+    assert _witness_is_valid(g, result)
+    return False
+
+
+@given(relabelled_graphs(bipartite=True))
+@settings(max_examples=150, deadline=None)
+def test_hall_finds_a_matching_whatever_the_vertex_order(pair):
+    g, relabelled = pair
+    assert _finds_matching(pg.hall_check, relabelled) == _finds_matching(pg.hall_check, g)
+
+
+@given(relabelled_graphs(bipartite=False))
+@settings(max_examples=150, deadline=None)
+def test_tutte_finds_a_matching_whatever_the_vertex_order(pair):
+    g, relabelled = pair
+    assert _finds_matching(pg.tutte_check, relabelled) == _finds_matching(pg.tutte_check, g)

@@ -10,7 +10,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photongraph as pg
@@ -225,6 +225,7 @@ def test_parallel_workers_match_serial(monkeypatch):
     .flatmap(st.permutations),
     workers=st.sampled_from([1, 2]),
 )
+@example(n=6, trials=20, seed=3, ps=[k / 400 for k in range(1, 301)], workers=2)  # more p than a byte has tiers
 @settings(max_examples=40, deadline=None)
 def test_a_scan_reports_each_p_as_a_one_p_scan_does(n, trials, seed, ps, workers):
     # two cores, whatever the host has, and batches of one trial, so
