@@ -207,14 +207,15 @@ def ensemble_scan(
 ) -> list[EnsembleReport]:
     """Sample ``trials`` graphs per probability and report, per p in the
     given order, the fraction with at least one perfect matching plus the
-    full count histogram.  A trial is sampled and counted once for all p:
-    its graphs are nested, and a report equals that of a one-p scan.  Every
-    argument, and the hafnian order guard on ``n``, is checked before any
-    sampling.  ``workers`` processes, capped at the core count and at one
-    worker per whole batch of trials, each count one trial range in batches
-    of their own: the caller counts the first and adds the histograms of the
-    other workers, forked children which never outlive the call.  Without
-    ``os.fork`` it runs serially; with no p it samples nothing."""
+    full count histogram.  A trial is sampled and counted once for all p
+    (once per 255 distinct p): its graphs are nested, and a report equals
+    that of a one-p scan.  Every argument, and the hafnian order guard on
+    ``n``, is checked before any sampling.  ``workers`` processes, capped at
+    the core count and at one worker per whole batch of trials, each count
+    one trial range in batches of their own: the caller counts the first and
+    adds the histograms of the other workers, forked children which never
+    outlive the call.  Without ``os.fork`` it runs serially; with no p it
+    samples nothing."""
     if n % 2 != 0 or n < 2:
         raise DomainError(f"vertex count must be even and >= 2 for matching statistics, got {n}")
     if trials < 1:

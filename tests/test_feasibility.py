@@ -289,9 +289,9 @@ def relabelled_graphs(draw, bipartite: bool):
 
 
 def _finds_matching(check, g) -> bool:
-    """Whether ``check`` finds a perfect matching of ``g``: a cover, or else
-    a valid witness or, from the 2-colouring of an unbalanced graph, a
-    refusal of its unequal parts."""
+    """Whether ``check`` finds a perfect matching of ``g``: True for a
+    cover, False for a valid witness or, from the 2-colouring of an
+    unbalanced graph, a refusal of its unequal parts."""
     try:
         result = check(g)
     except pg.DomainError as exc:
