@@ -1,22 +1,23 @@
 """Constructive matchability checks.
 
 Both checks read a graph as one bitmask of neighbours per vertex, indexed
-in declaration order, as the bipartition does.  For bipartite graphs with
-equal parts, a perfect matching exists iff every subset W of part X sees at
-least |W| neighbors in Y; the checker returns an explicit matching
-(augmenting paths) or a violating subset read from the Y vertices that
-the final, failing searches from the unmatched X vertices reach.  For
-general graphs the criterion is that deleting any vertex set U leaves at
-most |U| odd components; the checker returns a matching found by
-backtracking, skipping vertex sets from which the search already failed,
-or a minimal violating subset.
+in declaration order, as the bipartition does, and run one routine on it:
+Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965) finds a
+maximum matching, then grows a final alternating forest from exposed
+vertices.  For bipartite graphs with equal parts, a perfect matching exists
+iff every subset W of part X sees at least |W| neighbors in Y; the witness
+W is the forest grown from the exposed X vertices (König).  For general
+graphs the criterion is that deleting any vertex set U leaves at most |U|
+odd components; the witness U is the Gallai–Edmonds barrier A(G), read
+from the forest grown from every exposed vertex.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from operator import or_
 
-from .errors import DomainError, ScaleLimitError
+from .errors import DomainError
 from .graph import ExperimentGraph, _bits, _FrozenRecord
 
 __all__ = [
@@ -24,10 +25,7 @@ __all__ = [
     "TutteWitness",
     "hall_check",
     "tutte_check",
-    "TUTTE_VERTEX_LIMIT",
 ]
-
-TUTTE_VERTEX_LIMIT = 20
 
 
 class HallWitness(_FrozenRecord):
@@ -44,12 +42,84 @@ class TutteWitness(_FrozenRecord):
     odd_components: tuple[tuple[str, ...], ...]
 
 
-def _matching_edge_ids(g: ExperimentGraph, pairs) -> tuple[str, ...]:
-    """The lowest-id edge of every matched vertex index pair, sorted."""
+def _grow(masks: list[int], mate: list[int], starts: int) -> tuple[int, list[int], int]:
+    """Grow an alternating forest from the exposed vertices of ``starts``,
+    breadth first, shrinking each blossom into its base.  Return the exposed
+    vertex that ends an augmenting path (-1 if none), the parent links that
+    lead from it back to a root, and the outer vertices as a bitmask.
+
+    Blossoms are found within one tree: the forest has more than one root
+    only once the matching is maximum, when an edge between two trees would
+    be an augmenting path."""
+    base = list(range(len(masks)))
+    parent = [-1] * len(masks)
+    outer = starts
+    queue = list(_bits(starts))
+    for v in queue:
+        for w in _bits(masks[v]):
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if outer >> w & 1:  # an odd cycle: shrink it into the bases' common ancestor
+                a = base[v]
+                seen = 1 << a
+                while mate[a] >= 0:
+                    a = base[parent[mate[a]]]
+                    seen |= 1 << a
+                b = base[w]
+                while not seen >> b & 1:
+                    b = base[parent[mate[b]]]
+                blossom = 0
+                for x, child in ((v, w), (w, v)):
+                    while base[x] != b:
+                        blossom |= 1 << base[x] | 1 << base[mate[x]]
+                        parent[x], child = child, mate[x]
+                        x = parent[mate[x]]
+                for x in range(len(masks)):
+                    if blossom >> base[x] & 1:
+                        base[x] = b
+                        if not outer >> x & 1:
+                            outer |= 1 << x
+                            queue.append(x)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:
+                    return w, parent, outer
+                outer |= 1 << mate[w]
+                queue.append(mate[w])
+    return -1, parent, outer
+
+
+def _blossom(masks: list[int], roots: int) -> tuple[list[int], int]:
+    """A maximum matching of the graph of neighbour ``masks``, as the
+    partner of each vertex (-1 if exposed), and the outer vertices of the
+    final alternating forest grown from the exposed vertices of ``roots``.
+
+    The matching starts greedy, each vertex in index order taking its lowest
+    free neighbour, and one search from each exposed vertex then augments
+    it: a vertex from which no augmenting path leads gets none later."""
+    mate, matched = [-1] * len(masks), 0
+    for v in range(len(masks)):
+        free = masks[v] & ~matched
+        if free and not matched >> v & 1:
+            w = (free & -free).bit_length() - 1
+            mate[v], mate[w] = w, v
+            matched |= 1 << v | 1 << w
+    for r in range(len(masks)):
+        if mate[r] < 0:
+            w, parent, _ = _grow(masks, mate, 1 << r)
+            while w >= 0:  # flip the path from w back to r
+                v = parent[w]
+                mate[w], mate[v], w = v, w, mate[v]
+    exposed = sum(1 << v for v, w in enumerate(mate) if w < 0)
+    return mate, _grow(masks, mate, exposed & roots)[2]
+
+
+def _matching_edge_ids(g: ExperimentGraph, mate: list[int]) -> tuple[str, ...]:
+    """The lowest-id edge of every matched vertex pair, sorted."""
     lowest: dict[tuple[int, int], str] = {}
     for e in sorted(g.edges, key=lambda e: e.id):
         lowest.setdefault((g._index[e.u], g._index[e.v]), e.id)
-    return tuple(sorted(lowest[min(pair), max(pair)] for pair in pairs))
+    return tuple(sorted(lowest[v, w] for v, w in enumerate(mate) if v < w))
 
 
 def hall_check(
@@ -69,78 +139,17 @@ def hall_check(
             "matching needs equal parts",
             reason="unequal-parts",
         )
-
-    match_of_y = [-1] * len(masks)
-    visited = 0
-
-    def augment(x: int) -> bool:
-        nonlocal visited
-        while unvisited := masks[x] & ~visited:
-            low = unvisited & -unvisited
-            visited |= low
-            y = low.bit_length() - 1
-            if match_of_y[y] < 0 or augment(match_of_y[y]):
-                match_of_y[y] = x
-                return True
-        return False
-
-    unmatched = []
-    for x in _bits(part_x):
-        visited = 0
-        if not augment(x):
-            unmatched.append(x)
-    # The matching is now maximum, so a search from each unmatched X vertex
-    # fails and changes no partner; under one visited set, never reset, the
-    # searches mark every Y vertex an alternating path reaches.  Each is
-    # matched, and W, the unmatched vertices and those partners, has
-    # N(W) = visited, so |N(W)| = |W| - |unmatched| < |W|.
-    visited = 0
-    for x in unmatched:
-        if augment(x):
-            raise AssertionError("an augmenting path survived Kuhn's algorithm")
-    augment = None  # the closure refers to itself; drop the cycle before returning
-    if not unmatched:
-        return _matching_edge_ids(g, ((x, y) for y, x in enumerate(match_of_y) if x >= 0))
-    reachable_x = sum(1 << x for x in unmatched) | sum(1 << match_of_y[y] for y in _bits(visited))
-    assert visited.bit_count() < reachable_x.bit_count()
+    mate, outer = _blossom(masks, part_x)
+    if not outer:
+        return _matching_edge_ids(g, mate)
+    # no edge joins two X vertices, so no blossom forms and W, the outer
+    # vertices, sees only the inner ones, each matched into W
+    seen = reduce(or_, map(masks.__getitem__, _bits(outer)))
+    assert seen.bit_count() < outer.bit_count()
     return HallWitness(
-        tuple(g.vertices[i] for i in _bits(reachable_x)),
-        tuple(g.vertices[i] for i in _bits(visited)),
+        tuple(g.vertices[i] for i in _bits(outer)),
+        tuple(g.vertices[i] for i in _bits(seen)),
     )
-
-
-def _find_pm_pairs(masks: list[int]) -> list[tuple[int, int]] | None:
-    """First perfect matching, as vertex index pairs, found by pairing the
-    lowest unmatched vertex with each unmatched neighbor in turn; None when
-    the search exhausts.
-
-    Whether the rest can be matched depends only on the set of vertices
-    matched so far, so each set from which the search failed is remembered
-    as a bitmask and not searched again.  Only failed subtrees are skipped,
-    so the first matching found is unchanged."""
-    full = (1 << len(masks)) - 1
-    failed: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-
-    def rec(matched: int) -> bool:
-        if matched == full:
-            return True
-        if matched in failed:
-            return False
-        free = ~matched & full
-        low = free & -free
-        u = low.bit_length() - 1
-        for w in _bits(masks[u] & free):
-            pairs.append((u, w))
-            if rec(matched | low | 1 << w):
-                return True
-            pairs.pop()
-        failed.add(matched)
-        return False
-
-    found = rec(0)
-    rec = None  # the closure refers to itself; drop the cycle before returning
-    return pairs if found else None
 
 
 def _odd_components(masks: list[int], live: int) -> list[int]:
@@ -150,10 +159,7 @@ def _odd_components(masks: list[int], live: int) -> list[int]:
     while live:
         comp = frontier = live & -live
         while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= masks[v]
-            frontier = reach & live & ~comp
+            frontier = reduce(or_, map(masks.__getitem__, _bits(frontier))) & live & ~comp
             comp |= frontier
         live &= ~comp
         if comp.bit_count() % 2 == 1:
@@ -162,39 +168,24 @@ def _odd_components(masks: list[int], live: int) -> list[int]:
 
 
 def tutte_check(g: ExperimentGraph) -> tuple[str, ...] | TutteWitness:
-    """Return a perfect matching or a minimal odd-components witness.
+    """Return a perfect matching or the Gallai–Edmonds barrier as witness.
 
-    The witness search enumerates subsets by increasing size with a
-    lexicographic tie-break, so the first reported witness is minimal.  Its
-    first subset, U = {}, is tried before the matching search, so a graph
-    with an odd component (any graph of odd order) needs no backtracking."""
+    D(G), the vertices that some maximum matching misses, are the outer
+    vertices of the final forest grown from every exposed vertex.  The
+    witness U = A(G) holds their neighbours outside D(G), and G - U has
+    n - 2ν more odd components than |U|: the components of D(G).  U is
+    defined without a vertex order, so a relabelling maps it to the
+    relabelled barrier, but it need not be the smallest witness: K_{1,3}
+    with two isolated vertices gives its centre, not the empty set."""
     if g.measured:
         raise DomainError("matchability checks apply to unmeasured graphs")
-    n = len(g.vertices)
-    if n > TUTTE_VERTEX_LIMIT:
-        raise ScaleLimitError(
-            f"witness search on {n} vertices exceeds the guard (<= {TUTTE_VERTEX_LIMIT})"
-        )
-
-    def witness(removed: int, odd: list[int]) -> TutteWitness:
-        return TutteWitness(
-            tuple(g.vertices[i] for i in _bits(removed)),
-            tuple(tuple(g.vertices[i] for i in _bits(comp)) for comp in odd),
-        )
-
     masks = g._neighbour_masks()
-    full = (1 << n) - 1
-    odd = _odd_components(masks, full)
-    if odd:  # U = {} is the first subset of the search: no backtracking needed
-        return witness(0, odd)
-    pairs = _find_pm_pairs(masks)
-    if pairs is not None:
-        return _matching_edge_ids(g, pairs)
-
-    for size in range(1, n + 1):
-        for subset in combinations([1 << i for i in range(n)], size):
-            removed = sum(subset)
-            odd = _odd_components(masks, full & ~removed)
-            if len(odd) > size:
-                return witness(removed, odd)
-    raise AssertionError("no matching and no witness: unreachable for valid graphs")
+    full = (1 << len(masks)) - 1
+    mate, outer = _blossom(masks, full)
+    if not outer:
+        return _matching_edge_ids(g, mate)
+    barrier = reduce(or_, map(masks.__getitem__, _bits(outer))) & ~outer
+    return TutteWitness(
+        tuple(g.vertices[i] for i in _bits(barrier)),
+        tuple(tuple(g.vertices[i] for i in _bits(comp)) for comp in _odd_components(masks, full & ~barrier)),
+    )

@@ -229,8 +229,9 @@ def ensemble_scan(
     _check_hafnian_order(n)
     if not p_values:
         return []
-    # a share of less than one batch is worth less than the fork that counts it
-    batches = max(1, trials // _packing(n, p_values)[-1])
+    # a share of less than one batch is worth less than the fork that counts
+    # it; a batch is that of the first chunk of at most 255 distinct p
+    batches = max(1, trials // _packing(n, sorted(set(p_values))[:255])[-1])
     workers = min(workers, os.cpu_count() or 1, batches) if hasattr(os, "fork") else 1
     bounds = [trials * k // workers for k in range(workers + 1)]
     children = []

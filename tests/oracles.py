@@ -4,6 +4,7 @@ checked against.  Nothing here shares code with the package kernels."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from itertools import combinations, permutations, product
 
@@ -221,3 +222,54 @@ def naive_search_graph_for_state(target, *, max_edges: int = 8, max_mode: int = 
             if matches(g):
                 return g
     return None
+
+
+def brute_force_matching_number(g: ExperimentGraph, removed: frozenset = frozenset()) -> int:
+    """Size of a largest matching of g without the ``removed`` vertices,
+    found by leaving the first remaining vertex unmatched or matching it
+    to each remaining neighbour in turn, each set of remaining vertices
+    answered once."""
+    neighbours = {v: set() for v in g.vertices}
+    for e in g.edges:
+        neighbours[e.u].add(e.v)
+        neighbours[e.v].add(e.u)
+
+    @functools.cache
+    def largest(left: tuple[str, ...]) -> int:
+        if not left:
+            return 0
+        first, rest = left[0], left[1:]
+        best = largest(rest)
+        for w in neighbours[first].intersection(rest):
+            best = max(best, 1 + largest(tuple(u for u in rest if u != w)))
+        return best
+
+    return largest(tuple(v for v in g.vertices if v not in removed))
+
+
+def brute_force_barrier(g: ExperimentGraph) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """The Gallai-Edmonds barrier A and the odd components of g - A, each in
+    declaration order, the components in the order of their first vertex.
+    D is the set of vertices v with nu(g - v) = nu(g), by brute force, and
+    A is the set of vertices outside D with a neighbour in D."""
+    nu = brute_force_matching_number(g)
+    d = {v for v in g.vertices if brute_force_matching_number(g, frozenset([v])) == nu}
+    a = {e.v for e in g.edges if e.u in d} | {e.u for e in g.edges if e.v in d}
+    a -= d
+    seen, odd = set(a), []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            v = frontier.pop()
+            for e in g.edges:
+                if v in (e.u, e.v):
+                    w = e.v if e.u == v else e.u
+                    if w not in seen and w not in comp:
+                        comp.add(w)
+                        frontier.append(w)
+        seen |= comp
+        if len(comp) % 2 == 1:
+            odd.append(tuple(u for u in g.vertices if u in comp))
+    return tuple(u for u in g.vertices if u in a), tuple(odd)

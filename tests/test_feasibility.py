@@ -14,7 +14,7 @@ from photongraph import Edge, ExperimentGraph, vertex_names
 from photongraph.feasibility import HallWitness, TutteWitness
 
 from fixt import hall_fixture, k4_ghz, spider
-from oracles import brute_force_covers
+from oracles import brute_force_barrier, brute_force_covers, brute_force_matching_number
 
 
 def test_hall_witness_fixture():
@@ -128,9 +128,17 @@ def test_tutte_k14_two_triangles_empty_witness():
     assert result.odd_components == (names[14:17], names[17:20])
 
 
-def test_tutte_scale_guard():
-    with pytest.raises(pg.ScaleLimitError):
-        pg.tutte_check(ExperimentGraph(vertex_names(22)))
+def test_tutte_answers_k22_with_a_perfect_matching():
+    g = pg.complete_graph(22)
+    result = pg.tutte_check(g)
+    assert isinstance(result, tuple) and len(result) == 11
+    assert pg.is_coincidence_cover(g, result)
+
+
+def test_tutte_witness_of_k_10_12_is_the_small_side():
+    xs, ys = tuple(f"x{i}" for i in range(10)), tuple(f"y{j}" for j in range(12))
+    g = ExperimentGraph(xs + ys, [Edge(f"{x}{y}", x, y) for x in xs for y in ys])
+    assert pg.tutte_check(g) == TutteWitness(xs, tuple((y,) for y in ys))
 
 
 def test_checks_reject_measured_graphs():
@@ -180,29 +188,18 @@ def _witness_is_valid(g, witness) -> bool:
     return len(odd) > len(witness.subset_u) and sorted(map(sorted, odd)) == sorted(map(sorted, reported))
 
 
-def _first_barrier(g) -> TutteWitness | None:
-    """The first vertex subset, by size and then lexicographically in
-    declaration order, that leaves more odd components than its size."""
-    for size in range(len(g.vertices) + 1):
-        for subset in combinations(g.vertices, size):
-            odd = _odd_components(g, subset)
-            if len(odd) > size:
-                return TutteWitness(subset, tuple(odd))
-    return None
-
-
 def test_tutte_k57_witness_is_the_small_side():
     xs, ys = tuple(f"x{i}" for i in range(5)), tuple(f"y{j}" for j in range(7))
     g = ExperimentGraph(xs + ys, [Edge(f"{x}{y}", x, y) for x in xs for y in ys])
     assert pg.tutte_check(g) == TutteWitness(xs, tuple((y,) for y in ys))
 
 
-def test_tutte_witness_is_minimal_not_the_gallai_edmonds_barrier():
+def test_tutte_witness_is_the_gallai_edmonds_barrier_not_the_minimal_one():
     # K_{1,3} plus two isolated vertices: the Gallai-Edmonds barrier is {a}
-    # (five odd components), but the empty set already leaves {e} and {f}.
+    # (five odd components), though the empty set already leaves {e} and {f}.
     g = ExperimentGraph(list("abcdef"), [Edge("1", "a", "b"), Edge("2", "a", "c"), Edge("3", "a", "d")])
-    assert pg.tutte_check(g) == TutteWitness((), (("e",), ("f",)))
-    assert len(_odd_components(g, ("a",))) == 5
+    assert pg.tutte_check(g) == TutteWitness(("a",), (("b",), ("c",), ("d",), ("e",), ("f",)))
+    assert _odd_components(g, ()) == [("e",), ("f",)]
 
 
 def test_bipartite_agreement_exhaustive_parts_3():
@@ -241,7 +238,8 @@ def test_bipartite_agreement_exhaustive_parts_4():
 
 def test_tutte_agreement_exhaustive_small():
     """Every graph on at most 5 vertices and 300 seeded ones on 6; the
-    witness must be the first barrier by size and lexicographic order."""
+    witness must be the brute-force Gallai-Edmonds barrier with the odd
+    components it leaves, n - 2nu more than its size."""
     rng = random.Random(7)
     for n in range(0, 7):
         names = vertex_names(n)
@@ -253,10 +251,13 @@ def test_tutte_agreement_exhaustive_small():
             result = pg.tutte_check(g)
             exists = isinstance(result, tuple)
             assert exists == (len(brute_force_covers(g)) > 0)
+            barrier, odd = brute_force_barrier(g)
             if exists:
                 assert pg.is_coincidence_cover(g, result)
+                assert barrier == odd == ()
             else:
-                assert result == _first_barrier(g)
+                assert result == TutteWitness(barrier, odd)
+                assert len(odd) - len(barrier) == n - 2 * brute_force_matching_number(g)
 
 
 def test_tutte_agreement_random_14():
@@ -316,3 +317,22 @@ def test_hall_finds_a_matching_whatever_the_vertex_order(pair):
 def test_tutte_finds_a_matching_whatever_the_vertex_order(pair):
     g, relabelled = pair
     assert _finds_matching(pg.tutte_check, relabelled) == _finds_matching(pg.tutte_check, g)
+
+
+@given(relabelled_graphs(bipartite=False), st.data())
+@settings(max_examples=150, deadline=None)
+def test_tutte_barrier_maps_with_the_relabelling(pair, data):
+    """Renaming the vertices by a bijection, declared in another order,
+    renames the barrier and its odd components with them."""
+    g, reordered = pair
+    image = dict(zip(g.vertices, data.draw(st.permutations(g.vertices))))
+    relabelled = ExperimentGraph([image[v] for v in reordered.vertices],
+                                 [Edge(e.id, image[e.u], image[e.v]) for e in g.edges])
+
+    def barrier(graph, name=lambda v: v):
+        result = pg.tutte_check(graph)
+        if isinstance(result, tuple):
+            return None
+        return {name(v) for v in result.subset_u}, {frozenset(map(name, c)) for c in result.odd_components}
+
+    assert barrier(relabelled) == barrier(g, image.__getitem__)

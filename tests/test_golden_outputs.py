@@ -1,12 +1,15 @@
 """Golden outputs of the combinatorial searches, the GHZ-dimension scan, the
 G(n, p) ensemble and the command-line front end, its help texts included.
 
-The Tutte matching search, the disjoint-matching search, the factorization
-enumerator and the target-state search each return the first answer they
-meet, so their outputs depend on search order.  This test pins a hash of
-every answer on a fixed seeded input set: a change that only prunes work
-which cannot alter an answer leaves the hash unchanged, including which
-matching, witness or graph comes first."""
+The disjoint-matching search, the factorization enumerator and the
+target-state search each return the first answer they meet, so their
+outputs depend on search order.  This test pins a hash of every answer on
+a fixed seeded input set: a change that only prunes work which cannot alter
+an answer leaves the hash unchanged, including which matching or graph
+comes first.  A perfect matching from the matchability checks, and the
+Tutte witness, are checked against the oracles instead and pinned by their
+kind only: any maximum-matching routine may pick another matching, and the
+witness is the Gallai-Edmonds barrier, which the oracles compute."""
 
 from __future__ import annotations
 
@@ -22,10 +25,12 @@ import pytest
 import photongraph as pg
 from photongraph import Edge, ExperimentGraph, QuantumState, vertex_names
 from photongraph.cli import build_parser, main
+from photongraph.feasibility import HallWitness, TutteWitness
 
 from fixt import double_edge, hall_fixture, k4_ghz, k6_factored, layered6, spider, w_state_target
+from oracles import brute_force_barrier
 
-GOLDEN_SHA256 = "ec7d4f35c7a1812a80a89735628207a35059985f30a9445892721800ee9d7134"
+GOLDEN_SHA256 = "875ae37c45f4ba1d4cc20153a6209721fcf2e5d3884b0a7f11183a88616d69a4"
 
 
 def _outcome(fn, *args, **kwargs):
@@ -36,6 +41,23 @@ def _outcome(fn, *args, **kwargs):
     if isinstance(result, ExperimentGraph):
         return pg.serialize_graph(result)
     return result
+
+
+def _matchability(check, g, *args):
+    """The outcome of ``check`` on g: a refusal or a Hall witness whole, and
+    a matching, which must be a cover, or a Tutte witness, which must be the
+    brute-force Gallai-Edmonds barrier with its odd components, by kind."""
+    try:
+        result = check(g, *args)
+    except pg.PhotonGraphError as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(result, HallWitness):
+        return result
+    if isinstance(result, TutteWitness):
+        assert (result.subset_u, result.odd_components) == brute_force_barrier(g)
+        return "barrier"
+    assert pg.is_coincidence_cover(g, result)
+    return "matching"
 
 
 def _graphs():
@@ -80,7 +102,8 @@ def _targets():
 def test_search_outputs_golden():
     digest = hashlib.sha256()
     for g in _graphs():
-        for fn in (pg.tutte_check, pg.max_disjoint_pms, pg.enumerate_factorizations):
+        digest.update(repr(_matchability(pg.tutte_check, g)).encode())
+        for fn in (pg.max_disjoint_pms, pg.enumerate_factorizations):
             digest.update(repr(_outcome(fn, g)).encode())
     for target, max_edges in _targets():
         digest.update(repr(_outcome(pg.search_graph_for_state, target, max_edges=max_edges)).encode())
@@ -426,7 +449,7 @@ def test_cli_outputs_golden(tmp_path, monkeypatch, capsys):
     assert digest.hexdigest() == CLI_GOLDEN_SHA256
 
 
-MATCHABILITY_GOLDEN_SHA256 = "46b2b988fc2ee68743fec6d9ca6a91ed0b0e26948d9fdefa003c3467f195f480"
+MATCHABILITY_GOLDEN_SHA256 = "4514dbd341c8145fa39a5614219eeafcd3fc5f395078f75220fb625845513e2b"
 
 
 def _bipartite_multigraphs():
@@ -474,17 +497,17 @@ def _barrier_graphs():
 
 
 def test_matchability_outputs_golden():
-    """The matching or witness of ``hall_check`` with detected and pinned
-    parts, every refusal among them, the bipartition (or its odd cycle) of
-    the search-golden graphs, and ``tutte_check`` on large-barrier and
+    """The outcome of ``hall_check`` with detected and pinned parts, every
+    refusal among them, the bipartition (or its odd cycle) of the
+    search-golden graphs, and ``tutte_check`` on large-barrier and
     isolated-vertex graphs."""
     digest = hashlib.sha256()
     for g, parts in _bipartite_multigraphs():
-        digest.update(repr((_outcome(pg.hall_check, g), _outcome(pg.hall_check, g, parts))).encode())
+        digest.update(repr((_matchability(pg.hall_check, g), _matchability(pg.hall_check, g, parts))).encode())
     for g in _graphs():
         digest.update(repr(_outcome(g.bipartition)).encode())
     for g in _barrier_graphs():
-        digest.update(repr(_outcome(pg.tutte_check, g)).encode())
+        digest.update(repr(_matchability(pg.tutte_check, g)).encode())
     assert digest.hexdigest() == MATCHABILITY_GOLDEN_SHA256
 
 

@@ -417,6 +417,32 @@ def test_the_benchmark_decks_scans_count_in_the_caller(monkeypatch, n):
     assert pg.ensemble_scan(n, ps, 200, 9, workers=2) == pg.ensemble_scan(n, ps, 200, 9)
 
 
+def test_a_scan_of_many_p_caps_its_workers_at_its_first_chunks_batch(monkeypatch):
+    """300 p at n = 6 count in chunks of 255 p (8 trials a batch) and 45 p
+    (44 trials a batch), so 12 trials are less than two batches of either
+    chunk and two workers on two cores count them without a child."""
+    from photongraph import networks
+
+    started = []
+    fork_share = networks._fork_share
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(networks, "_fork_share", lambda *args: started.append(args) or fork_share(*args))
+    ps = [k / 400 for k in range(1, 301)]
+    assert pg.ensemble_scan(6, ps, 12, 3, workers=2) == pg.ensemble_scan(6, ps, 12, 3)
+    assert started == []
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_a_scans_existence_count_is_the_blossoms(n):
+    """The trials of a scan with a perfect matching, by the matching
+    counter, are those whose graph ``tutte_check`` finds one in."""
+    ps, trials = [0.1, 0.2, 0.35, 0.6], 200
+    for report in pg.ensemble_scan(n, ps, trials, 17):
+        graphs = (pg.random_graph(n, report.p, pg.trial_seed(17, t)) for t in range(trials))
+        matchable = sum(isinstance(pg.tutte_check(g), tuple) for g in graphs)
+        assert trials - report.pm_count_histogram.get(0, 0) == matchable
+
+
 @pytest.fixture
 def fail_share(monkeypatch):
     """Two cores, batches of four trials, so a 40-trial scan forks, and a
