@@ -44,13 +44,11 @@ class TutteWitness(_FrozenRecord):
 
 def _grow(masks: list[int], mate: list[int], starts: int) -> tuple[int, list[int], int]:
     """Grow an alternating forest from the exposed vertices of ``starts``,
-    breadth first, shrinking each blossom into its base.  Return the exposed
-    vertex that ends an augmenting path (-1 if none), the parent links that
-    lead from it back to a root, and the outer vertices as a bitmask.
-
-    Blossoms are found within one tree: the forest has more than one root
-    only once the matching is maximum, when an edge between two trees would
-    be an augmenting path."""
+    breadth first, shrinking each blossom into its base.  Return the first
+    exposed vertex that an alternating path from a root reaches (-1 if
+    none), the parent links that lead back to the root, and the outer
+    vertices as a bitmask.  The forest has more than one root only once the
+    matching is maximum, when no edge joins outer vertices of two trees."""
     base = list(range(len(masks)))
     parent = [-1] * len(masks)
     outer = starts
@@ -95,8 +93,9 @@ def _blossom(masks: list[int], roots: int) -> tuple[list[int], int]:
     final alternating forest grown from the exposed vertices of ``roots``.
 
     The matching starts greedy, each vertex in index order taking its lowest
-    free neighbour, and one search from each exposed vertex then augments
-    it: a vertex from which no augmenting path leads gets none later."""
+    free neighbour; one search from each exposed vertex then extends it: a
+    vertex from which no alternating path reaches another exposed vertex
+    gets none later."""
     mate, matched = [-1] * len(masks), 0
     for v in range(len(masks)):
         free = masks[v] & ~matched
